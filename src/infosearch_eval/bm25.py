@@ -92,22 +92,6 @@ def build_index(documents: list[Document], params: Bm25Params = Bm25Params()) ->
                          doc_count=n, doc_ids=doc_ids, idf=idf)
 
 
-def score(index: InvertedIndex, params: Bm25Params, query_terms: list[str],
-          doc_ordinal: int) -> float:
-    """BM25 score of one document for the given query terms."""
-    dl = index.doc_lengths[doc_ordinal]
-    norm = params.k1 * (1.0 - params.b + params.b * dl / index.avg_doc_length)
-    total = 0.0
-    for term in query_terms:
-        plist = index.postings.get(term)
-        if plist is None:
-            continue
-        tf = next((f for d, f in plist if d == doc_ordinal), 0)
-        if tf:
-            total += index.idf[term] * tf * (params.k1 + 1.0) / (tf + norm)
-    return total
-
-
 def search(index: InvertedIndex, params: Bm25Params, query_text: str,
            top_k: int) -> list[tuple[str, float]]:
     """Top-k (doc_id, score) pairs, ties broken by ascending doc_id."""

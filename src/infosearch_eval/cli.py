@@ -1,18 +1,16 @@
 """Command-line surface: validate, evaluate, bm25-run, synth, oracle.
 
 Exit codes: 0 success, 1 data problem (violations, missing lists,
-oversize oracle input), 2 environment problem (I/O, missing paths).
-Run directories hold one subdirectory per system with three mode files:
-original.run, instructed.run, reversed.run.  INFOSEARCH_THREADS caps the
-number of systems evaluated concurrently.
+oversize oracle input), 2 usage or environment problem (bad option
+values, I/O, missing paths).  Run directories hold one subdirectory per
+system with three mode files: original.run, instructed.run, reversed.run;
+systems are evaluated one after another.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import bm25, ingest, oracle, report, synth
@@ -29,6 +27,21 @@ MODE_FILES = {Mode.ORIGINAL: "original.run",
 def _config(args) -> MetricConfig:
     sign = PMRR_FLIPPED if args.p_mrr_sign == "flipped" else PMRR_AS_PRINTED
     return MetricConfig(k_ndcg=args.k, k_wise=args.wise_k, p_mrr_sign=sign)
+
+
+def _bm25_params(args) -> bm25.Bm25Params:
+    return bm25.Bm25Params(k1=args.k1, b=args.b)
+
+
+def _synth_spec(args) -> synth.SynthSpec:
+    for behavior in args.behaviors.split(","):
+        if behavior not in synth.BEHAVIORS:
+            raise ValueError(f"unknown behavior {behavior!r}")
+    dims = (tuple(Dimension) if args.dims == "all"
+            else tuple(Dimension(name) for name in args.dims.split(",")))
+    return synth.SynthSpec(seed=args.seed, dims=dims, cores_per_dim=args.cores,
+                           conditions_per_core=args.conditions,
+                           corpus_noise_docs=args.noise_docs, run_depth=args.depth)
 
 
 def _load_system_runs(system_dir: Path, score_from_rank: bool) -> RunSet:
@@ -88,18 +101,14 @@ def cmd_evaluate(args) -> int:
     if not dataset_dir.is_dir() or not runs_dir.is_dir():
         print("error: dataset or runs directory missing", file=sys.stderr)
         return 2
-    cfg = _config(args)
     try:
         dataset = ingest.load_dataset(dataset_dir)
         system_dirs = sorted(p for p in runs_dir.iterdir() if p.is_dir())
         if not system_dirs:
             print("error: no system subdirectories in runs directory", file=sys.stderr)
             return 2
-        threads = int(os.environ.get("INFOSEARCH_THREADS", "0")) or min(4, len(system_dirs))
-        with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-            all_rows = list(pool.map(
-                lambda d: _evaluate_one(dataset, d, cfg, args.score_from_rank),
-                system_dirs))
+        all_rows = [_evaluate_one(dataset, d, args.settings, args.score_from_rank)
+                    for d in system_dirs]
     except FileNotFoundError as exc:
         print(f"error: missing run file: {exc}", file=sys.stderr)
         return 2
@@ -125,29 +134,17 @@ def cmd_bm25_run(args) -> int:
         return 2
     try:
         dataset = ingest.load_dataset(dataset_dir)
+        runset = bm25.run_all_modes(dataset, args.settings, top_k=args.top_k)
     except InfoSearchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    params = bm25.Bm25Params(k1=args.k1, b=args.b)
-    runset = bm25.run_all_modes(dataset, params, top_k=args.top_k)
     _write_system_runs(runset, out_dir, tag="bm25")
     print(f"wrote BM25 runs ({len(runset.lists)} lists) to {out_dir}")
     return 0
 
 
-def _parse_dims(spec: str) -> tuple[Dimension, ...]:
-    if spec == "all":
-        return tuple(Dimension)
-    return tuple(Dimension(name) for name in spec.split(","))
-
-
 def cmd_synth(args) -> int:
-    out_dir = Path(args.out)
-    spec = synth.SynthSpec(seed=args.seed, dims=_parse_dims(args.dims),
-                           cores_per_dim=args.cores,
-                           conditions_per_core=args.conditions,
-                           corpus_noise_docs=args.noise_docs,
-                           run_depth=args.depth)
+    out_dir, spec = Path(args.out), args.settings
     dataset = synth.gen_synthetic_dataset(spec)
     ingest.write_dataset(dataset, out_dir / "dataset")
     for behavior in args.behaviors.split(","):
@@ -162,7 +159,7 @@ def cmd_oracle(args) -> int:
     if not dataset_dir.is_dir() or not system_dir.is_dir():
         print("error: dataset or runs directory missing", file=sys.stderr)
         return 2
-    cfg = _config(args)
+    cfg = args.settings
     try:
         dataset = ingest.load_dataset(dataset_dir)
         if len(dataset.instructed_queries) > oracle.MAX_ORACLE_QUERIES:
@@ -201,14 +198,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check dataset integrity and counts")
     p.add_argument("dataset")
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func=cmd_validate, configure=_config)
 
     p = sub.add_parser("evaluate", help="score one run directory per system")
     p.add_argument("dataset")
     p.add_argument("runs")
     p.add_argument("--out", default="reports")
     p.add_argument("--format", choices=list(report.FORMATS), default="csv")
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_evaluate, configure=_config)
 
     p = sub.add_parser("bm25-run", help="produce three-mode BM25 run files")
     p.add_argument("dataset")
@@ -216,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k1", type=float, default=1.2)
     p.add_argument("--b", type=float, default=0.75)
     p.add_argument("--top-k", type=int, default=100)
-    p.set_defaults(func=cmd_bm25_run)
+    p.set_defaults(func=cmd_bm25_run, configure=_bm25_params)
 
     p = sub.add_parser("synth", help="generate seeded synthetic fixtures")
     p.add_argument("--out", default="synth-fixtures")
@@ -227,18 +224,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-docs", type=int, default=4)
     p.add_argument("--depth", type=int, default=10)
     p.add_argument("--behaviors", default="perfect,anti,random")
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, configure=_synth_spec)
 
     p = sub.add_parser("oracle", help="diff harness output against the naive oracle")
     p.add_argument("dataset")
     p.add_argument("runs", help="one system directory with three mode files")
-    p.set_defaults(func=cmd_oracle)
+    p.set_defaults(func=cmd_oracle, configure=_config)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        # the options' own objects check their ranges: a bad value is a usage error
+        args.settings = args.configure(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     try:
         return args.func(args)
     except OSError as exc:

@@ -56,10 +56,6 @@ class InvariantBreach(InfoSearchError):
     pass
 
 
-class NonPositiveIdeal(InfoSearchError):
-    pass
-
-
 # --- harness ---
 
 class MissingList(InfoSearchError):
@@ -67,10 +63,6 @@ class MissingList(InfoSearchError):
         self.query_key = query_key
         self.mode = mode
         super().__init__(f"no {mode} list for {query_key!r}")
-
-
-class DegenerateReversed(InfoSearchError):
-    pass
 
 
 # --- bm25 ---

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import math
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
-from .core import Dataset, Dimension, InstructedQuery, Mode, RunSet, rank_of, score_of
-from .errors import DegenerateReversed, MissingList
+from .core import (Dataset, Dimension, InstructedQuery, Mode, RankedList, RunSet,
+                   rank_of, score_of)
+from .errors import EmptyInput, MissingList
 from .metrics import (GoldContext, MetricConfig, mrr_at_1, ndcg_at_k, p_mrr_doc,
-                      robustness_at_k, sicr, sicr_indicator, wise,
-                      wise_ideal_query, wise_query)
+                      robustness_at_k, sicr, sicr_indicator, wise_ideal_query,
+                      wise_per, wise_query)
 
 
 @dataclass
@@ -45,6 +46,7 @@ class EvalRecord:
 @dataclass
 class DimensionSummary:
     scope: str  # dimension name or "overall"
+    # the metric fields, up to query_count, in report column order
     ndcg_ori: float
     ndcg_ins: float
     ndcg_rev: Optional[float]
@@ -63,49 +65,43 @@ class DimensionSummary:
     degenerate_reversed: int = 0
 
     def as_dict(self) -> dict[str, Optional[float]]:
-        return {
-            "ndcg_ori": self.ndcg_ori, "ndcg_ins": self.ndcg_ins, "ndcg_rev": self.ndcg_rev,
-            "mrr1_ori": self.mrr1_ori, "mrr1_ins": self.mrr1_ins, "mrr1_rev": self.mrr1_rev,
-            "robustness_ori": self.robustness_ori, "robustness_ins": self.robustness_ins,
-            "robustness_rev": self.robustness_rev, "p_mrr": self.p_mrr,
-            "wise_act": self.wise_act, "wise_ideal": self.wise_ideal,
-            "per": self.per, "sicr": self.sicr,
-        }
+        return {name: getattr(self, name) for name in METRICS}
 
 
-def relevance_sets(dataset: Dataset, iq: InstructedQuery) -> tuple[set[str], set[str], set[str]]:
-    """Relevant docs per mode: all positives / the gold alone / positives minus gold."""
-    core = dataset.core_queries[iq.core_id]
-    rel_ori = set(core.positive_ids())
+METRICS = tuple(f.name for f in fields(DimensionSummary)[1:-2])
+
+
+def relevance_sets(dataset: Dataset, iq: InstructedQuery
+                   ) -> tuple[set[str], set[str], Optional[set[str]]]:
+    """Relevant docs per mode: all positives / the gold alone / positives
+    minus gold, the last None when the core has a single positive."""
+    rel_ori = set(dataset.core_queries[iq.core_id].positive_ids())
     rel_ins = {iq.gold_doc_id}
-    rel_rev = rel_ori - rel_ins
-    if not rel_rev:
-        raise DegenerateReversed(
-            f"core {iq.core_id} has a single positive; reversed relevance is empty")
-    return rel_ori, rel_ins, rel_rev
+    return rel_ori, rel_ins, (rel_ori - rel_ins) or None
 
 
-def build_gold_contexts(dataset: Dataset, runset: RunSet,
-                        cfg: MetricConfig) -> list[tuple[InstructedQuery, GoldContext]]:
-    """One GoldContext per instructed query; raises MissingList on gaps."""
+def build_gold_contexts(dataset: Dataset, runset: RunSet
+                        ) -> list[tuple[InstructedQuery, GoldContext,
+                                        tuple[RankedList, RankedList, RankedList]]]:
+    """One GoldContext per instructed query, with the query's original,
+    instructed and reversed lists; raises MissingList on gaps."""
     out = []
     for iq in dataset.instructed_queries.values():
-        l_ori = runset.get(iq.core_id, Mode.ORIGINAL)
-        if l_ori is None:
-            raise MissingList(iq.core_id, Mode.ORIGINAL.value)
-        l_ins = runset.get(iq.query_id, Mode.INSTRUCTED)
-        if l_ins is None:
-            raise MissingList(iq.query_id, Mode.INSTRUCTED.value)
-        l_rev = runset.get(iq.query_id, Mode.REVERSED)
-        if l_rev is None:
-            raise MissingList(iq.query_id, Mode.REVERSED.value)
+        lists = []
+        for key, mode in ((iq.core_id, Mode.ORIGINAL), (iq.query_id, Mode.INSTRUCTED),
+                          (iq.query_id, Mode.REVERSED)):
+            ranked = runset.get(key, mode)
+            if ranked is None:
+                raise MissingList(key, mode.value)
+            lists.append(ranked)
+        l_ori, l_ins, l_rev = lists
         gold = iq.gold_doc_id
         n = len(dataset.core_queries[iq.core_id].positives)
         ctx = GoldContext(
             r_ori=rank_of(l_ori, gold), r_ins=rank_of(l_ins, gold), r_rev=rank_of(l_rev, gold),
             s_ori=score_of(l_ori, gold), s_ins=score_of(l_ins, gold), s_rev=score_of(l_rev, gold),
             n_positives=n, depth_ori=len(l_ori), depth_ins=len(l_ins), depth_rev=len(l_rev))
-        out.append((iq, ctx))
+        out.append((iq, ctx, (l_ori, l_ins, l_rev)))
     return out
 
 
@@ -123,20 +119,15 @@ def _mean_or_none(values) -> Optional[float]:
 def evaluate_system(dataset: Dataset, runset: RunSet, cfg: MetricConfig = MetricConfig()
                     ) -> tuple[list[EvalRecord], list[DimensionSummary], DimensionSummary]:
     """Full evaluation: per-query records, per-dimension rows, overall row."""
-    contexts = build_gold_contexts(dataset, runset, cfg)
-
+    if not dataset.instructed_queries:
+        raise EmptyInput("dataset has no instructed queries")
     records: list[EvalRecord] = []
-    for iq, ctx in contexts:
+    originals: dict[str, tuple[RankedList, set[str]]] = {}  # core_id -> list, relevant
+    for iq, ctx, (l_ori, l_ins, l_rev) in build_gold_contexts(dataset, runset):
         r_ori, r_ins, r_rev = ctx.resolved_ranks()
         s_ori, s_ins, s_rev = ctx.resolved_scores()
-        core = dataset.core_queries[iq.core_id]
-        rel_ori = set(core.positive_ids())
-        rel_ins = {iq.gold_doc_id}
-        rel_rev = rel_ori - rel_ins
-
-        l_ins = runset.get(iq.query_id, Mode.INSTRUCTED)
-        l_rev = runset.get(iq.query_id, Mode.REVERSED)
-        assert l_ins is not None and l_rev is not None
+        rel_ori, rel_ins, rel_rev = relevance_sets(dataset, iq)
+        originals[iq.core_id] = (l_ori, rel_ori)
 
         records.append(EvalRecord(
             query_id=iq.query_id, core_id=iq.core_id, dimension=iq.dimension,
@@ -153,24 +144,21 @@ def evaluate_system(dataset: Dataset, runset: RunSet, cfg: MetricConfig = Metric
         ))
 
     dims = sorted({r.dimension for r in records}, key=lambda d: list(Dimension).index(d))
-    summaries = [_summarize(dataset, runset, cfg,
-                            [r for r in records if r.dimension is dim], dim.value)
+    summaries = [_summarize(originals, cfg, [r for r in records if r.dimension is dim],
+                            dim.value)
                  for dim in dims]
     overall = _overall(summaries)
     return records, summaries, overall
 
 
-def _summarize(dataset: Dataset, runset: RunSet, cfg: MetricConfig,
+def _summarize(originals: dict[str, tuple[RankedList, set[str]]], cfg: MetricConfig,
                records: list[EvalRecord], scope: str) -> DimensionSummary:
     core_ids = sorted({r.core_id for r in records})
 
     ndcg_ori_by_core: dict[str, float] = {}
     mrr1_ori_by_core: dict[str, float] = {}
     for core_id in core_ids:
-        core = dataset.core_queries[core_id]
-        l_ori = runset.get(core_id, Mode.ORIGINAL)
-        assert l_ori is not None
-        rel = set(core.positive_ids())
+        l_ori, rel = originals[core_id]
         ndcg_ori_by_core[core_id] = ndcg_at_k(l_ori, rel, cfg.k_ndcg)
         mrr1_ori_by_core[core_id] = mrr_at_1(l_ori, rel)
 
@@ -198,7 +186,7 @@ def _summarize(dataset: Dataset, runset: RunSet, cfg: MetricConfig,
         p_mrr=_mean(r.p_mrr for r in records),
         wise_act=wise_act,
         wise_ideal=wise_ideal,
-        per=(wise_ideal - wise_act) / wise_ideal if wise_ideal > 0 else None,
+        per=wise_per(wise_act, wise_ideal),
         sicr=sicr(r.sicr_i for r in records),
         query_count=len(records),
         degenerate_reversed=sum(1 for r in records if r.ndcg_rev is None),
@@ -206,24 +194,11 @@ def _summarize(dataset: Dataset, runset: RunSet, cfg: MetricConfig,
 
 
 def _overall(summaries: list[DimensionSummary]) -> DimensionSummary:
-    wise_act = _mean(s.wise_act for s in summaries)
-    wise_ideal = _mean(s.wise_ideal for s in summaries)
+    """Unweighted mean of the dimension rows, metric by metric."""
+    values = {name: _mean_or_none(getattr(s, name) for s in summaries) for name in METRICS}
+    values["per"] = wise_per(values["wise_act"], values["wise_ideal"])
     return DimensionSummary(
-        scope="overall",
-        ndcg_ori=_mean(s.ndcg_ori for s in summaries),
-        ndcg_ins=_mean(s.ndcg_ins for s in summaries),
-        ndcg_rev=_mean_or_none(s.ndcg_rev for s in summaries),
-        mrr1_ori=_mean(s.mrr1_ori for s in summaries),
-        mrr1_ins=_mean(s.mrr1_ins for s in summaries),
-        mrr1_rev=_mean_or_none(s.mrr1_rev for s in summaries),
-        robustness_ori=_mean(s.robustness_ori for s in summaries),
-        robustness_ins=_mean(s.robustness_ins for s in summaries),
-        robustness_rev=_mean_or_none(s.robustness_rev for s in summaries),
-        p_mrr=_mean(s.p_mrr for s in summaries),
-        wise_act=wise_act,
-        wise_ideal=wise_ideal,
-        per=(wise_ideal - wise_act) / wise_ideal if wise_ideal > 0 else None,
-        sicr=_mean(s.sicr for s in summaries),
+        scope="overall", **values,
         query_count=sum(s.query_count for s in summaries),
         degenerate_reversed=sum(s.degenerate_reversed for s in summaries),
     )

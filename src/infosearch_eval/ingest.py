@@ -24,14 +24,17 @@ from .errors import (DuplicateDoc, IntegrityViolation, MalformedLine, RankGap,
 
 def _read_jsonl(path: Path):
     with path.open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield line_no, json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedLine(str(path), line_no, str(exc)) from exc
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    yield line_no, json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise MalformedLine(str(path), line_no, str(exc)) from exc
+        except UnicodeDecodeError as exc:
+            raise IntegrityViolation(f"{path}: not UTF-8 ({exc.reason})") from exc
 
 
 def _files(directory: Path, stem: str) -> list[Path]:
@@ -132,21 +135,24 @@ def load_run(path: str | Path, mode: Mode, score_from_rank: bool = False,
     path = Path(path)
     per_query: dict[str, list[tuple[int, str, float]]] = {}
     with path.open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 6 or parts[1] != "Q0":
-                raise MalformedLine(str(path), line_no, "expected 6 columns with Q0")
-            query_key, _, doc_id, rank_s, score_s, _tag = parts
-            try:
-                rank = int(rank_s)
-                score = float(score_s)
-            except ValueError as exc:
-                raise MalformedLine(str(path), line_no, str(exc)) from exc
-            if rank < 1 or score != score or score in (float("inf"), float("-inf")):
-                raise MalformedLine(str(path), line_no, "bad rank or non-finite score")
-            per_query.setdefault(query_key, []).append((rank, doc_id, score))
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                parts = line.split()
+                if len(parts) != 6 or parts[1] != "Q0":
+                    raise MalformedLine(str(path), line_no, "expected 6 columns with Q0")
+                query_key, _, doc_id, rank_s, score_s, _tag = parts
+                try:
+                    rank = int(rank_s)
+                    score = float(score_s)
+                except ValueError as exc:
+                    raise MalformedLine(str(path), line_no, str(exc)) from exc
+                if rank < 1 or score != score or score in (float("inf"), float("-inf")):
+                    raise MalformedLine(str(path), line_no, "bad rank or non-finite score")
+                per_query.setdefault(query_key, []).append((rank, doc_id, score))
+        except UnicodeDecodeError as exc:
+            raise IntegrityViolation(f"{path}: not UTF-8 ({exc.reason})") from exc
 
     runset = RunSet(system_id=system_id or path.stem)
     for query_key, rows in per_query.items():

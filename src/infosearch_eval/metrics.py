@@ -27,7 +27,6 @@ class MetricConfig:
     k_ndcg: int = 10
     k_wise: int = 20
     p_mrr_sign: str = PMRR_AS_PRINTED
-    report_scale: float = 100.0
 
     def __post_init__(self):
         if self.k_ndcg < 1 or self.k_wise < 1:
@@ -159,6 +158,11 @@ def wise_ideal_query(r_ori: int, n: int, k: int) -> float:
     """Best reward achievable from r_ori, assuming the reversed rank can
     always be pushed below r_ori."""
     return max(wise_reward(r_ori, r, n, k) for r in range(1, r_ori + 1))
+
+
+def wise_per(act: float, ideal: float, scale: float = 1.0) -> Optional[float]:
+    """WISE Per., the gap scale * (ideal - act) / ideal; None when ideal <= 0."""
+    return scale * (ideal - act) / ideal if ideal > 0 else None
 
 
 def wise(values: Iterable[float]) -> float:

@@ -9,55 +9,28 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, make_dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Optional
 
-from .errors import NonPositiveIdeal
-from .harness import DimensionSummary
+from .harness import METRICS, DimensionSummary
+from .metrics import wise_per
 
-COLUMNS = ("ndcg_ori", "ndcg_ins", "ndcg_rev",
-           "mrr1_ori", "mrr1_ins", "mrr1_rev",
-           "robustness_ori", "robustness_ins", "robustness_rev",
-           "p_mrr", "wise_act", "wise_ideal", "per", "sicr")
+COLUMNS = METRICS
 
 FORMATS = ("markdown", "csv", "structured")
 
-
-@dataclass
-class ReportRow:
-    system_id: str
-    scope: str
-    ndcg_ori: float
-    ndcg_ins: float
-    ndcg_rev: Optional[float]
-    mrr1_ori: float
-    mrr1_ins: float
-    mrr1_rev: Optional[float]
-    robustness_ori: float
-    robustness_ins: float
-    robustness_rev: Optional[float]
-    p_mrr: float
-    wise_act: float
-    wise_ideal: float
-    per: Optional[float]
-    sicr: float
+ReportRow = make_dataclass(
+    "ReportRow",
+    [("system_id", str), ("scope", str), *((name, Optional[float]) for name in COLUMNS)],
+    namespace={"__module__": __name__})
 
 
-def per_gap(act: float, ideal: float) -> float:
-    """Percentage gap between actual and ideal: 100 * (ideal - act) / ideal."""
-    if ideal <= 0:
-        raise NonPositiveIdeal(f"ideal must be positive, got {ideal}")
-    return 100.0 * (ideal - act) / ideal
-
-
-def row_from_summary(system_id: str, summary: DimensionSummary,
-                     scale: float = 100.0) -> ReportRow:
-    d = summary.as_dict()
-    scaled = {k: (None if v is None else v * scale) for k, v in d.items() if k != "per"}
-    per = (per_gap(scaled["wise_act"], scaled["wise_ideal"])
-           if scaled["wise_ideal"] is not None and scaled["wise_ideal"] > 0 else None)
-    return ReportRow(system_id=system_id, scope=summary.scope, per=per, **scaled)
+def row_from_summary(system_id: str, summary: DimensionSummary) -> ReportRow:
+    scaled = {k: (None if v is None else v * 100.0) for k, v in summary.as_dict().items()}
+    # from the scaled values, not 100 * summary.per, which differs in the last bit
+    scaled["per"] = wise_per(scaled["wise_act"], scaled["wise_ideal"], 100.0)
+    return ReportRow(system_id=system_id, scope=summary.scope, **scaled)
 
 
 def _fmt1(value: Optional[float]) -> str:
@@ -76,8 +49,7 @@ def render(rows: list[ReportRow], fmt: str = "markdown") -> bytes:
     if fmt == "structured":
         out = io.StringIO()
         for row in rows:
-            rec = {f.name: getattr(row, f.name) for f in fields(ReportRow)}
-            out.write(json.dumps(rec, ensure_ascii=False) + "\n")
+            out.write(json.dumps(asdict(row), ensure_ascii=False) + "\n")
         return out.getvalue().encode("utf-8")
 
     table = [[row.system_id, row.scope, *(_fmt1(getattr(row, c)) for c in COLUMNS)]

@@ -18,10 +18,9 @@ from infosearch_eval.cli import main
 from infosearch_eval.core import Dimension, Mode, RankedList, RunSet
 from infosearch_eval.harness import evaluate_system
 from infosearch_eval.metrics import (GoldContext, MetricConfig, p_mrr_doc,
-                                     robustness_at_k, wise_penalty,
+                                     robustness_at_k, wise_penalty, wise_per,
                                      wise_query, wise_reward)
 from infosearch_eval.oracle import diff_reports, oracle_metrics
-from infosearch_eval.report import per_gap
 from infosearch_eval.synth import (BEHAVIORS, SynthSpec, gen_synthetic_dataset,
                                    gen_synthetic_runs)
 
@@ -58,9 +57,9 @@ def test_criterion_2_wise_boundaries():
 
 
 def test_criterion_3_per_reconstruction():
-    value = per_gap(-3.0, 65.9)
+    value = wise_per(-3.0, 65.9, 100.0)
     assert abs(value - 104.6) <= 0.05
-    _report(3, f"per_gap(-3.0, 65.9) = {value:.3f} within +/-0.05 of 104.6")
+    _report(3, f"wise_per(-3.0, 65.9, 100.0) = {value:.3f} within +/-0.05 of 104.6")
 
 
 def test_criterion_4_differential_oracle_1000():

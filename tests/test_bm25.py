@@ -4,7 +4,7 @@ import random
 import pytest
 
 from infosearch_eval.bm25 import (Bm25Params, build_index, run_all_modes,
-                                  score, search, tokenize)
+                                  search, tokenize)
 from infosearch_eval.core import Dimension, Document
 from infosearch_eval.errors import EmptyCorpus
 
@@ -39,15 +39,17 @@ def test_build_index_empty_corpus():
 def test_score_single_term_equals_idf():
     # length normalization cancels when len == avg_len
     params = Bm25Params()
-    idx = build_index([doc("d0", "apple")], params)
-    expected_idf = math.log(1 + (1 - 1 + 0.5) / (1 + 0.5))
-    assert score(idx, params, ["apple"], 0) == pytest.approx(expected_idf, abs=1e-12)
+    docs = [doc("d0", "apple")]
+    expected = [("d0", pytest.approx(math.log(1 + (1 - 1 + 0.5) / (1 + 0.5)), abs=1e-12))]
+    assert brute_force_rank(docs, params, "apple") == expected
+    assert search(build_index(docs, params), params, "apple", 1) == expected
 
 
 def test_score_absent_term_is_zero():
     params = Bm25Params()
-    idx = build_index([doc("d0", "apple pie")], params)
-    assert score(idx, params, ["zebra"], 0) == 0.0
+    docs = [doc("d0", "apple pie")]
+    assert brute_force_rank(docs, params, "zebra") == [("d0", 0.0)]
+    assert search(build_index(docs, params), params, "zebra", 1) == [("d0", 0.0)]
 
 
 def test_search_tiebreak_and_full_corpus():

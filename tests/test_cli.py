@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -124,3 +126,58 @@ def test_score_from_rank_flag(fixture_dirs, tmp_path):
                  "--out", str(tmp_path / "no")]) == 1
     assert main(["--score-from-rank", "evaluate", str(dataset_dir), str(runs_dir),
                  "--out", str(tmp_path / "yes")]) == 0
+
+
+def _not_utf8(dataset_dir, runs_dir):
+    (runs_dir / "random" / "instructed.run").write_bytes(b"\xff\xfe not utf-8\n")
+
+
+def _blank(*names):
+    def prepare(dataset_dir, runs_dir):
+        for name in names:
+            (dataset_dir / f"{name}.jsonl").write_text("")
+    return prepare
+
+
+@pytest.mark.parametrize("argv, prepare, code", [
+    (["--k", "0", "evaluate", "{dataset}", "{runs}"], None, 2),
+    (["--wise-k", "0", "evaluate", "{dataset}", "{runs}"], None, 2),
+    (["synth", "--depth", "1"], None, 2),
+    (["synth", "--dims", "Foo"], None, 2),
+    (["synth", "--behaviors", "perfect,foo"], None, 2),
+    (["bm25-run", "{dataset}", "--k1", "-1"], None, 2),
+    (["evaluate", "{dataset}", "{runs}"], _not_utf8, 1),
+    (["bm25-run", "{dataset}"],
+     _blank("documents", "core_queries", "instructed_queries"), 1),
+    (["evaluate", "{dataset}", "{runs}"], _blank("instructed_queries"), 1),
+], ids=["k", "wise-k", "synth-depth", "synth-dims", "synth-behaviors", "bm25-k1",
+        "run-not-utf8", "bm25-no-documents", "evaluate-no-instructed"])
+def test_bad_input_exits_with_one_line(argv, prepare, code, fixture_dirs, tmp_path, capsys):
+    dataset_dir, runs_dir = fixture_dirs
+    if prepare:
+        prepare(dataset_dir, runs_dir)
+    out = tmp_path / "out"
+    argv = [a.format(dataset=dataset_dir, runs=runs_dir) for a in argv] + ["--out", str(out)]
+    capsys.readouterr()
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        rc = exc.code
+    assert rc == code
+    err = capsys.readouterr().err.splitlines()
+    assert "error: " in err[-1]
+    if code == 1:
+        assert len(err) == 1
+    assert not out.exists()  # nothing written, not even the first behaviour
+
+
+def test_readme_quick_start_runs_as_written(tmp_path, monkeypatch):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Quick start")[1].split("```sh\n")[1].split("```")[0]
+    commands = [shlex.split(line) for line in block.splitlines()
+                if line.strip() and not line.startswith("#")]
+    assert len(commands) == 5
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        assert command[0] == "infosearch"
+        assert main(command[1:]) == 0, command

@@ -1,10 +1,9 @@
 import pytest
 
 from infosearch_eval.core import Mode, RunSet
-from infosearch_eval.errors import DegenerateReversed, MissingList
+from infosearch_eval.errors import MissingList
 from infosearch_eval.harness import (build_gold_contexts, evaluate_system,
                                      relevance_sets)
-from infosearch_eval.metrics import MetricConfig
 from infosearch_eval.synth import SynthSpec, gen_synthetic_dataset, gen_synthetic_runs
 
 from conftest import make_list
@@ -22,13 +21,12 @@ def test_relevance_sets_degenerate(desk_dataset):
     core = desk_dataset.core_queries["c0"]
     object.__setattr__(core, "positives", (("d0", "Layman"),))
     iq = desk_dataset.instructed_queries["c0-q0"]
-    with pytest.raises(DegenerateReversed):
-        relevance_sets(desk_dataset, iq)
+    assert relevance_sets(desk_dataset, iq)[2] is None
 
 
 def test_build_gold_contexts_lookup(desk_dataset, desk_runset):
-    contexts = dict((iq.query_id, ctx) for iq, ctx
-                    in build_gold_contexts(desk_dataset, desk_runset, MetricConfig()))
+    contexts = dict((iq.query_id, ctx) for iq, ctx, _
+                    in build_gold_contexts(desk_dataset, desk_runset))
     c = contexts["c0-q1"]  # gold d1: ori rank 2, ins rank 1, rev rank 4
     assert (c.r_ori, c.r_ins, c.r_rev) == (2, 1, 4)
     assert c.n_positives == 2
@@ -38,8 +36,8 @@ def test_build_gold_contexts_absent_rank(desk_dataset, desk_runset):
     iq = desk_dataset.instructed_queries["c0-q0"]
     short = make_list(iq.query_id, Mode.INSTRUCTED, ["d2", "d3"])
     desk_runset.lists[(iq.query_id, Mode.INSTRUCTED)] = short
-    contexts = dict((q.query_id, ctx) for q, ctx
-                    in build_gold_contexts(desk_dataset, desk_runset, MetricConfig()))
+    contexts = dict((q.query_id, ctx) for q, ctx, _
+                    in build_gold_contexts(desk_dataset, desk_runset))
     c = contexts["c0-q0"]
     assert c.r_ins is None and c.depth_ins == 2
     assert c.resolved_ranks()[1] == 3  # depth + 1
@@ -48,7 +46,7 @@ def test_build_gold_contexts_absent_rank(desk_dataset, desk_runset):
 def test_missing_list_error(desk_dataset, desk_runset):
     del desk_runset.lists[("c1-q0", Mode.REVERSED)]
     with pytest.raises(MissingList):
-        build_gold_contexts(desk_dataset, desk_runset, MetricConfig())
+        build_gold_contexts(desk_dataset, desk_runset)
 
 
 def test_robustness_ori_equals_ndcg_ori(desk_dataset, desk_runset):

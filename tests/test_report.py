@@ -1,8 +1,10 @@
+import json
+
 import pytest
 
-from infosearch_eval.errors import NonPositiveIdeal
 from infosearch_eval.harness import evaluate_system
-from infosearch_eval.report import (ReportRow, parse_csv, per_gap, render,
+from infosearch_eval.metrics import wise_per
+from infosearch_eval.report import (COLUMNS, ReportRow, parse_csv, render,
                                     row_from_summary)
 from infosearch_eval.synth import SynthSpec, gen_synthetic_dataset, gen_synthetic_runs
 
@@ -19,16 +21,14 @@ def sample_rows():
 
 def test_per_gap_table_row():
     # published gap for actual -3.0 against ideal 65.9
-    assert per_gap(-3.0, 65.9) == pytest.approx(104.6, abs=0.05)
+    assert wise_per(-3.0, 65.9, 100.0) == pytest.approx(104.6, abs=0.05)
 
 
 def test_per_gap_boundaries():
-    assert per_gap(50.0, 50.0) == 0.0
-    assert per_gap(0.0, 50.0) == 100.0
-    with pytest.raises(NonPositiveIdeal):
-        per_gap(1.0, 0.0)
-    with pytest.raises(NonPositiveIdeal):
-        per_gap(1.0, -2.0)
+    assert wise_per(50.0, 50.0, 100.0) == 0.0
+    assert wise_per(0.0, 50.0, 100.0) == 100.0
+    assert wise_per(1.0, 0.0, 100.0) is None
+    assert wise_per(1.0, -2.0, 100.0) is None
 
 
 def test_render_deterministic():
@@ -69,8 +69,16 @@ def test_display_rounds_half_away_from_zero():
 
 
 def test_structured_keeps_full_precision():
-    import json
     rows = sample_rows()
     lines = render(rows, "structured").decode().splitlines()
     rec = json.loads(lines[0])
     assert rec["wise_act"] == rows[0].wise_act
+
+
+def test_structured_row_bytes():
+    # key order and the x100 Per. expression fix the jsonl bytes
+    for line in render(sample_rows(), "structured").decode().splitlines():
+        rec = json.loads(line)
+        assert list(rec) == ["system_id", "scope", *COLUMNS]
+        act, ideal = rec["wise_act"], rec["wise_ideal"]
+        assert rec["per"] == 100.0 * (ideal - act) / ideal
