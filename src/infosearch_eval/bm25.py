@@ -8,9 +8,11 @@ single-character tokens (the corpus contains Chinese documents).
 
 from __future__ import annotations
 
+import heapq
 import math
+import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import Dataset, Document, Mode, RankedList, RunSet
 from .errors import EmptyCorpus
@@ -24,32 +26,16 @@ _CJK_RANGES = (
     (0xF900, 0xFAFF),   # CJK compatibility ideographs
     (0x20000, 0x2A6DF), # CJK extension B
 )
-
-
-def _is_cjk(ch: str) -> bool:
-    cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in _CJK_RANGES)
+_CJK = "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _CJK_RANGES)
+# re's \w is str.isalnum() plus "_": one CJK char, or a run of alphanumerics
+# outside the CJK ranges.  re compiles it on first use and keeps it cached,
+# so importing this module (as every CLI command does) costs no compile.
+_TOKEN = f"[{_CJK}]|[^\\W_{_CJK}]+"
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercased tokens: alphanumeric runs, with CJK chars emitted singly."""
-    tokens: list[str] = []
-    buf: list[str] = []
-    for ch in text.lower():
-        if _is_cjk(ch):
-            if buf:
-                tokens.append("".join(buf))
-                buf = []
-            tokens.append(ch)
-        elif ch.isalnum():
-            buf.append(ch)
-        else:
-            if buf:
-                tokens.append("".join(buf))
-                buf = []
-    if buf:
-        tokens.append("".join(buf))
-    return tokens
+    return re.findall(_TOKEN, text.lower())
 
 
 @dataclass(frozen=True)
@@ -64,12 +50,15 @@ class Bm25Params:
 
 @dataclass
 class InvertedIndex:
+    params: Bm25Params  # the norms below hold only for these
     postings: dict[str, list[tuple[int, int]]]  # term -> [(doc_ordinal, tf)]
     doc_lengths: list[int]
     avg_doc_length: float
     doc_count: int
     doc_ids: list[str]
-    idf: dict[str, float] = field(default_factory=dict)
+    idf: dict[str, float]
+    norms: list[float]  # per ordinal: k1 * (1 - b + b * doc_length / avg_doc_length)
+    by_doc_id: list[int]  # ordinals in ascending doc_id order
 
 
 def build_index(documents: list[Document], params: Bm25Params = Bm25Params()) -> InvertedIndex:
@@ -87,27 +76,47 @@ def build_index(documents: list[Document], params: Bm25Params = Bm25Params()) ->
     n = len(documents)
     idf = {term: math.log(1.0 + (n - len(plist) + 0.5) / (len(plist) + 0.5))
            for term, plist in postings.items()}
-    return InvertedIndex(postings=postings, doc_lengths=doc_lengths,
-                         avg_doc_length=sum(doc_lengths) / n,
-                         doc_count=n, doc_ids=doc_ids, idf=idf)
+    avg = sum(doc_lengths) / n
+    k1, b = params.k1, params.b
+    # an average of 0 means no document has a term, so no norm is ever read
+    norms = [k1 * (1.0 - b + b * dl / avg) for dl in doc_lengths] if avg else [0.0] * n
+    return InvertedIndex(params=params, postings=postings, doc_lengths=doc_lengths,
+                         avg_doc_length=avg, doc_count=n, doc_ids=doc_ids, idf=idf,
+                         norms=norms, by_doc_id=sorted(range(n), key=doc_ids.__getitem__))
 
 
 def search(index: InvertedIndex, params: Bm25Params, query_text: str,
            top_k: int) -> list[tuple[str, float]]:
-    """Top-k (doc_id, score) pairs, ties broken by ascending doc_id."""
-    terms = tokenize(query_text)
-    scores = [0.0] * index.doc_count
-    for term in terms:
+    """Top-k (doc_id, score) pairs, ties broken by ascending doc_id.
+
+    Only documents in the query terms' postings are scored; when fewer than
+    top_k match, the list is filled with 0.0-scored documents in doc_id order.
+    """
+    if params != index.params:
+        raise ValueError(f"index was built with {index.params}, not {params}")
+    if top_k < 1:
+        raise ValueError("require top_k >= 1")
+    norms, k1_plus_1 = index.norms, params.k1 + 1.0
+    scores: dict[int, float] = {}
+    for term in tokenize(query_text):
         plist = index.postings.get(term)
         if plist is None:
             continue
         idf = index.idf[term]
         for ordinal, tf in plist:
-            dl = index.doc_lengths[ordinal]
-            norm = params.k1 * (1.0 - params.b + params.b * dl / index.avg_doc_length)
-            scores[ordinal] += idf * tf * (params.k1 + 1.0) / (tf + norm)
-    order = sorted(range(index.doc_count), key=lambda i: (-scores[i], index.doc_ids[i]))
-    return [(index.doc_ids[i], scores[i]) for i in order[:top_k]]
+            # the operations of idf * tf * (k1 + 1.0) / (tf + norm), in that order
+            score = idf * tf * k1_plus_1 / (tf + norms[ordinal])
+            scores[ordinal] = scores.get(ordinal, 0.0) + score
+    # every idf is positive, so a matched document scores above 0.0; only
+    # those at or above the top_k-th best score are sorted
+    cutoff = heapq.nlargest(top_k, scores.values())[-1] if len(scores) > top_k else 0.0
+    doc_ids = index.doc_ids
+    top = sorted((-score, doc_ids[ordinal])
+                 for ordinal, score in scores.items() if score >= cutoff)
+    hits = [(doc_id, -neg) for neg, doc_id in top[:top_k]]
+    if len(hits) < top_k:
+        hits += [(doc_ids[o], 0.0) for o in index.by_doc_id if o not in scores][:top_k - len(hits)]
+    return hits
 
 
 def run_all_modes(dataset: Dataset, params: Bm25Params = Bm25Params(),

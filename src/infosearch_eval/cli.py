@@ -30,6 +30,8 @@ def _config(args) -> MetricConfig:
 
 
 def _bm25_params(args) -> bm25.Bm25Params:
+    if args.top_k < 1:
+        raise ValueError("require --top-k >= 1")
     return bm25.Bm25Params(k1=args.k1, b=args.b)
 
 
@@ -72,12 +74,10 @@ def cmd_validate(args) -> int:
         print(f"error: no such directory: {dataset_dir}", file=sys.stderr)
         return 2
     try:
-        dataset = ingest.load_dataset(dataset_dir)
+        _, rep = ingest.load_dataset_with_report(dataset_dir)
     except InfoSearchError as exc:
         print(f"invalid dataset: {exc}")
         return 1
-    from .core import validate_dataset
-    rep = validate_dataset(dataset)
     print("dimension,core,instructed,reversed,docs")
     for dim, (c, i, r, d) in rep.counts.items():
         print(f"{dim.value},{c},{i},{r},{d}")

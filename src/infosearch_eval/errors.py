@@ -59,10 +59,10 @@ class InvariantBreach(InfoSearchError):
 # --- harness ---
 
 class MissingList(InfoSearchError):
-    def __init__(self, query_key: str, mode: str):
-        self.query_key = query_key
-        self.mode = mode
-        super().__init__(f"no {mode} list for {query_key!r}")
+    def __init__(self, gaps: list[tuple[str, str]]):
+        self.gaps = gaps  # every (query_key, mode) with no list; the first 5 are named
+        named = ", ".join(f"{mode} {key!r}" for key, mode in gaps[:5])
+        super().__init__(f"{len(gaps)} missing list(s): {named}{', ...' if len(gaps) > 5 else ''}")
 
 
 # --- bm25 ---

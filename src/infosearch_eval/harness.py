@@ -84,16 +84,19 @@ def build_gold_contexts(dataset: Dataset, runset: RunSet
                         ) -> list[tuple[InstructedQuery, GoldContext,
                                         tuple[RankedList, RankedList, RankedList]]]:
     """One GoldContext per instructed query, with the query's original,
-    instructed and reversed lists; raises MissingList on gaps."""
+    instructed and reversed lists; raises one MissingList carrying every gap."""
     out = []
+    gaps: dict[tuple[str, str], None] = {}  # ordered, and a shared core counts once
     for iq in dataset.instructed_queries.values():
         lists = []
         for key, mode in ((iq.core_id, Mode.ORIGINAL), (iq.query_id, Mode.INSTRUCTED),
                           (iq.query_id, Mode.REVERSED)):
             ranked = runset.get(key, mode)
             if ranked is None:
-                raise MissingList(key, mode.value)
+                gaps[key, mode.value] = None
             lists.append(ranked)
+        if gaps:
+            continue
         l_ori, l_ins, l_rev = lists
         gold = iq.gold_doc_id
         n = len(dataset.core_queries[iq.core_id].positives)
@@ -102,6 +105,8 @@ def build_gold_contexts(dataset: Dataset, runset: RunSet
             s_ori=score_of(l_ori, gold), s_ins=score_of(l_ins, gold), s_rev=score_of(l_rev, gold),
             n_positives=n, depth_ori=len(l_ori), depth_ins=len(l_ins), depth_rev=len(l_rev))
         out.append((iq, ctx, (l_ori, l_ins, l_rev)))
+    if gaps:
+        raise MissingList(list(gaps))
     return out
 
 

@@ -17,7 +17,7 @@ import json
 from pathlib import Path
 
 from .core import (CoreQuery, Dataset, Dimension, Document, InstructedQuery,
-                   Mode, RankedList, RunSet, validate_dataset)
+                   Mode, RankedList, RunSet, ValidationReport, validate_dataset)
 from .errors import (DuplicateDoc, IntegrityViolation, MalformedLine, RankGap,
                      ScoreOrderViolation)
 
@@ -46,6 +46,11 @@ def _files(directory: Path, stem: str) -> list[Path]:
 
 def load_dataset(directory: str | Path) -> Dataset:
     """Load and validate a dataset directory; raises on any violation."""
+    return load_dataset_with_report(directory)[0]
+
+
+def load_dataset_with_report(directory: str | Path) -> tuple[Dataset, ValidationReport]:
+    """load_dataset, also handing back the report of its one validation."""
     directory = Path(directory)
     documents: dict[str, Document] = {}
     core_queries: dict[str, CoreQuery] = {}
@@ -96,7 +101,7 @@ def load_dataset(directory: str | Path) -> Dataset:
     report = validate_dataset(dataset)
     if not report.ok:
         raise IntegrityViolation("; ".join(report.violations))
-    return dataset
+    return dataset, report
 
 
 def write_dataset(dataset: Dataset, directory: str | Path) -> None:

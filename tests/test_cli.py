@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from infosearch_eval import ingest
+from infosearch_eval import core, ingest
 from infosearch_eval.cli import main
+from infosearch_eval.core import validate_dataset
 from infosearch_eval.synth import SynthSpec, gen_synthetic_dataset
 
 
@@ -23,6 +24,24 @@ def test_validate_ok(fixture_dirs, capsys):
     out = capsys.readouterr().out
     assert "0 violations" in out
     assert "Audience,2,4,4," in out
+
+
+def test_validate_checks_the_dataset_once(fixture_dirs, capsys, monkeypatch):
+    dataset_dir, _ = fixture_dirs
+    calls = []
+
+    def counted(dataset):
+        calls.append(dataset)
+        return validate_dataset(dataset)
+
+    # count calls made through the core name and the ingest name alike
+    monkeypatch.setattr(core, "validate_dataset", counted)
+    monkeypatch.setattr(ingest, "validate_dataset", counted)
+    assert main(["validate", str(dataset_dir)]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == (
+        "dimension,core,instructed,reversed,docs\nAudience,2,4,4,10\nFormat,2,4,4,10\n"
+        "total,4,8,8,20\nOK: 0 violations\n")
 
 
 def test_validate_broken_reference(fixture_dirs, capsys):
@@ -146,12 +165,15 @@ def _blank(*names):
     (["synth", "--dims", "Foo"], None, 2),
     (["synth", "--behaviors", "perfect,foo"], None, 2),
     (["bm25-run", "{dataset}", "--k1", "-1"], None, 2),
+    (["bm25-run", "{dataset}", "--top-k", "0"], None, 2),
+    (["bm25-run", "{dataset}", "--top-k", "-1"], None, 2),
     (["evaluate", "{dataset}", "{runs}"], _not_utf8, 1),
     (["bm25-run", "{dataset}"],
      _blank("documents", "core_queries", "instructed_queries"), 1),
     (["evaluate", "{dataset}", "{runs}"], _blank("instructed_queries"), 1),
 ], ids=["k", "wise-k", "synth-depth", "synth-dims", "synth-behaviors", "bm25-k1",
-        "run-not-utf8", "bm25-no-documents", "evaluate-no-instructed"])
+        "bm25-top-k-0", "bm25-top-k-negative", "run-not-utf8", "bm25-no-documents",
+        "evaluate-no-instructed"])
 def test_bad_input_exits_with_one_line(argv, prepare, code, fixture_dirs, tmp_path, capsys):
     dataset_dir, runs_dir = fixture_dirs
     if prepare:

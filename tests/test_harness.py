@@ -47,6 +47,11 @@ def test_missing_list_error(desk_dataset, desk_runset):
     del desk_runset.lists[("c1-q0", Mode.REVERSED)]
     with pytest.raises(MissingList):
         build_gold_contexts(desk_dataset, desk_runset)
+    del desk_runset.lists[("c0", Mode.ORIGINAL)]  # shared by c0-q0 and c0-q1
+    with pytest.raises(MissingList) as caught:
+        build_gold_contexts(desk_dataset, desk_runset)
+    assert caught.value.gaps == [("c0", "original"), ("c1-q0", "reversed")]
+    assert str(caught.value) == "2 missing list(s): original 'c0', reversed 'c1-q0'"
 
 
 def test_robustness_ori_equals_ndcg_ori(desk_dataset, desk_runset):
