@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
+from .errors import DuplicateDoc
+
 
 class Dimension(str, Enum):
     AUDIENCE = "Audience"
@@ -68,23 +70,25 @@ class Dataset:
 class RankedList:
     """Canonical ranked list: entries sorted by descending score, then doc_id.
 
-    Input entries in any order are canonicalized on construction; duplicate
-    doc_ids are rejected by the caller (see ingest) or raise here.
+    Input entries in any order are canonicalized on construction.  This is
+    the one place that orders a list and rejects a repeated doc_id: it raises
+    DuplicateDoc, naming the first repeat in canonical order.
     """
 
     __slots__ = ("query_key", "mode", "entries", "_positions")
 
     def __init__(self, query_key: str, mode: Mode,
                  entries: list[tuple[str, float]] | tuple[tuple[str, float], ...]):
-        seen = set()
-        for doc_id, _ in entries:
-            if doc_id in seen:
-                raise ValueError(f"duplicate doc_id {doc_id!r} in list {query_key!r}")
-            seen.add(doc_id)
         self.query_key = query_key
         self.mode = mode
         self.entries = tuple(sorted(entries, key=lambda e: (-e[1], e[0])))
         self._positions = {doc_id: i + 1 for i, (doc_id, _) in enumerate(self.entries)}
+        if len(self._positions) != len(self.entries):
+            seen = set()
+            for doc_id, _ in self.entries:
+                if doc_id in seen:
+                    raise DuplicateDoc(query_key, doc_id)
+                seen.add(doc_id)
 
     def __len__(self) -> int:
         return len(self.entries)

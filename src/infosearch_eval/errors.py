@@ -19,7 +19,7 @@ class IntegrityViolation(InfoSearchError):
     pass
 
 
-class DuplicateDoc(InfoSearchError):
+class DuplicateDoc(InfoSearchError, ValueError):
     def __init__(self, query_key: str, doc_id: str):
         self.query_key = query_key
         self.doc_id = doc_id

@@ -14,12 +14,12 @@ dimension.  Run files follow the usual interchange convention:
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .core import (CoreQuery, Dataset, Dimension, Document, InstructedQuery,
                    Mode, RankedList, RunSet, ValidationReport, validate_dataset)
-from .errors import (DuplicateDoc, IntegrityViolation, MalformedLine, RankGap,
-                     ScoreOrderViolation)
+from .errors import IntegrityViolation, MalformedLine, RankGap, ScoreOrderViolation
 
 
 def _read_jsonl(path: Path):
@@ -49,55 +49,38 @@ def load_dataset(directory: str | Path) -> Dataset:
     return load_dataset_with_report(directory)[0]
 
 
+def _load_records(directory: Path, stem: str, id_field: str, make) -> dict:
+    """Records of every <stem>*.jsonl file, keyed by id_field, made by make(rec)."""
+    records = {}
+    for path in _files(directory, stem):
+        for line_no, rec in _read_jsonl(path):
+            try:
+                record = make(rec)
+            except (KeyError, ValueError, TypeError) as exc:  # TypeError: a non-object line
+                raise MalformedLine(str(path), line_no, str(exc)) from exc
+            key = getattr(record, id_field)
+            if key in records:
+                raise IntegrityViolation(f"duplicate {id_field} {key!r}")
+            records[key] = record
+    return records
+
+
 def load_dataset_with_report(directory: str | Path) -> tuple[Dataset, ValidationReport]:
     """load_dataset, also handing back the report of its one validation."""
     directory = Path(directory)
-    documents: dict[str, Document] = {}
-    core_queries: dict[str, CoreQuery] = {}
-    instructed_queries: dict[str, InstructedQuery] = {}
-
-    for path in _files(directory, "documents"):
-        for line_no, rec in _read_jsonl(path):
-            try:
-                doc = Document(doc_id=rec["doc_id"], text=rec["text"],
-                               dimension=Dimension(rec["dimension"]),
-                               condition=rec["condition"])
-            except (KeyError, ValueError) as exc:
-                raise MalformedLine(str(path), line_no, str(exc)) from exc
-            if doc.doc_id in documents:
-                raise IntegrityViolation(f"duplicate doc_id {doc.doc_id!r}")
-            documents[doc.doc_id] = doc
-
-    for path in _files(directory, "core_queries"):
-        for line_no, rec in _read_jsonl(path):
-            try:
-                cq = CoreQuery(core_id=rec["core_id"], text=rec["text"],
-                               dimension=Dimension(rec["dimension"]),
-                               positives=tuple((p["doc_id"], p["condition"])
-                                               for p in rec["positives"]))
-            except (KeyError, ValueError, TypeError) as exc:
-                raise MalformedLine(str(path), line_no, str(exc)) from exc
-            if cq.core_id in core_queries:
-                raise IntegrityViolation(f"duplicate core_id {cq.core_id!r}")
-            core_queries[cq.core_id] = cq
-
-    for path in _files(directory, "instructed_queries"):
-        for line_no, rec in _read_jsonl(path):
-            try:
-                iq = InstructedQuery(query_id=rec["query_id"], core_id=rec["core_id"],
-                                     dimension=Dimension(rec["dimension"]),
-                                     condition=rec["condition"],
-                                     instructed_text=rec["instructed_text"],
-                                     reversed_text=rec["reversed_text"],
-                                     gold_doc_id=rec["gold_doc_id"])
-            except (KeyError, ValueError) as exc:
-                raise MalformedLine(str(path), line_no, str(exc)) from exc
-            if iq.query_id in instructed_queries:
-                raise IntegrityViolation(f"duplicate query_id {iq.query_id!r}")
-            instructed_queries[iq.query_id] = iq
-
-    dataset = Dataset(documents=documents, core_queries=core_queries,
-                      instructed_queries=instructed_queries)
+    dataset = Dataset(
+        documents=_load_records(directory, "documents", "doc_id", lambda r: Document(
+            doc_id=r["doc_id"], text=r["text"], dimension=Dimension(r["dimension"]),
+            condition=r["condition"])),
+        core_queries=_load_records(directory, "core_queries", "core_id", lambda r: CoreQuery(
+            core_id=r["core_id"], text=r["text"], dimension=Dimension(r["dimension"]),
+            positives=tuple((p["doc_id"], p["condition"]) for p in r["positives"]))),
+        instructed_queries=_load_records(
+            directory, "instructed_queries", "query_id", lambda r: InstructedQuery(
+                query_id=r["query_id"], core_id=r["core_id"],
+                dimension=Dimension(r["dimension"]), condition=r["condition"],
+                instructed_text=r["instructed_text"], reversed_text=r["reversed_text"],
+                gold_doc_id=r["gold_doc_id"])))
     report = validate_dataset(dataset)
     if not report.ok:
         raise IntegrityViolation("; ".join(report.violations))
@@ -133,18 +116,19 @@ def load_run(path: str | Path, mode: Mode, score_from_rank: bool = False,
              system_id: str = "") -> RunSet:
     """Parse a run file into canonical RankedLists.
 
-    With score_from_rank, each score is replaced by 1/rank so that strict
-    score comparisons reduce to strict rank comparisons for rank-only
-    systems.
+    Lines may come in any order.  Per query the ranks must be 1..n, and the
+    canonical order RankedList makes must be the rank order.  With
+    score_from_rank, each score is replaced by 1/rank so that strict score
+    comparisons reduce to strict rank comparisons for rank-only systems.
     """
     path = Path(path)
     per_query: dict[str, list[tuple[int, str, float]]] = {}
     with path.open(encoding="utf-8") as fh:
         try:
             for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
                 parts = line.split()
+                if not parts:
+                    continue
                 if len(parts) != 6 or parts[1] != "Q0":
                     raise MalformedLine(str(path), line_no, "expected 6 columns with Q0")
                 query_key, _, doc_id, rank_s, score_s, _tag = parts
@@ -153,28 +137,22 @@ def load_run(path: str | Path, mode: Mode, score_from_rank: bool = False,
                     score = float(score_s)
                 except ValueError as exc:
                     raise MalformedLine(str(path), line_no, str(exc)) from exc
-                if rank < 1 or score != score or score in (float("inf"), float("-inf")):
+                if rank < 1 or not math.isfinite(score):
                     raise MalformedLine(str(path), line_no, "bad rank or non-finite score")
-                per_query.setdefault(query_key, []).append((rank, doc_id, score))
+                per_query.setdefault(query_key, []).append(
+                    (rank, doc_id, 1.0 / rank if score_from_rank else score))
         except UnicodeDecodeError as exc:
             raise IntegrityViolation(f"{path}: not UTF-8 ({exc.reason})") from exc
 
     runset = RunSet(system_id=system_id or path.stem)
     for query_key, rows in per_query.items():
-        rows.sort(key=lambda r: r[0])
-        seen: set[str] = set()
-        for expected, (rank, doc_id, _) in enumerate(rows, start=1):
-            if doc_id in seen:
-                raise DuplicateDoc(query_key, doc_id)
-            seen.add(doc_id)
-            if rank != expected:
+        ranked = RankedList(query_key, mode, [(doc_id, score) for _, doc_id, score in rows])
+        by_rank: list[str | None] = [None] * len(rows)
+        for rank, doc_id, _ in rows:
+            if rank > len(rows) or by_rank[rank - 1] is not None:
                 raise RankGap(query_key)
-        if score_from_rank:
-            entries = [(doc_id, 1.0 / rank) for rank, doc_id, _ in rows]
-        else:
-            entries = [(doc_id, score) for _, doc_id, score in rows]
-        ranked = RankedList(query_key, mode, entries)
-        if [doc_id for doc_id, _ in ranked.entries] != [doc_id for doc_id, _ in entries]:
+            by_rank[rank - 1] = doc_id
+        if [doc_id for doc_id, _ in ranked.entries] != by_rank:
             raise ScoreOrderViolation(query_key)
         runset.add(ranked)
     return runset

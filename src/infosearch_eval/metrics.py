@@ -163,10 +163,3 @@ def wise_ideal_query(r_ori: int, n: int, k: int) -> float:
 def wise_per(act: float, ideal: float, scale: float = 1.0) -> Optional[float]:
     """WISE Per., the gap scale * (ideal - act) / ideal; None when ideal <= 0."""
     return scale * (ideal - act) / ideal if ideal > 0 else None
-
-
-def wise(values: Iterable[float]) -> float:
-    vals = list(values)
-    if not vals:
-        raise EmptyInput("no per-query values")
-    return math.fsum(vals) / len(vals)

@@ -1,4 +1,5 @@
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -151,6 +152,13 @@ def _not_utf8(dataset_dir, runs_dir):
     (runs_dir / "random" / "instructed.run").write_bytes(b"\xff\xfe not utf-8\n")
 
 
+def _append(name, line):
+    def prepare(dataset_dir, runs_dir):
+        with (dataset_dir / f"{name}.jsonl").open("a") as fh:
+            fh.write(line + "\n")
+    return prepare
+
+
 def _blank(*names):
     def prepare(dataset_dir, runs_dir):
         for name in names:
@@ -171,9 +179,11 @@ def _blank(*names):
     (["bm25-run", "{dataset}"],
      _blank("documents", "core_queries", "instructed_queries"), 1),
     (["evaluate", "{dataset}", "{runs}"], _blank("instructed_queries"), 1),
+    (["evaluate", "{dataset}", "{runs}"], _append("documents", "[1, 2]"), 1),
+    (["evaluate", "{dataset}", "{runs}"], _append("instructed_queries", '"x"'), 1),
 ], ids=["k", "wise-k", "synth-depth", "synth-dims", "synth-behaviors", "bm25-k1",
         "bm25-top-k-0", "bm25-top-k-negative", "run-not-utf8", "bm25-no-documents",
-        "evaluate-no-instructed"])
+        "evaluate-no-instructed", "document-not-object", "instructed-not-object"])
 def test_bad_input_exits_with_one_line(argv, prepare, code, fixture_dirs, tmp_path, capsys):
     dataset_dir, runs_dir = fixture_dirs
     if prepare:
@@ -203,3 +213,29 @@ def test_readme_quick_start_runs_as_written(tmp_path, monkeypatch):
     for command in commands:
         assert command[0] == "infosearch"
         assert main(command[1:]) == 0, command
+
+
+# a value for every key the README may list; load_dataset must accept the
+# records built from exactly the listed keys
+README_VALUES = {"doc_id": "d1", "text": "a document", "dimension": "Audience",
+                 "condition": "expert", "core_id": "c1", "query_id": "q1",
+                 "instructed_text": "for experts", "reversed_text": "not for experts",
+                 "gold_doc_id": "d1"}
+
+
+def test_readme_data_formats_load(tmp_path):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Data formats")[1].split("\n## ")[0]
+    formats = dict(re.findall(r"`(\w+)\*\.jsonl` — `([^`]*)`", section))
+    assert sorted(formats) == ["core_queries", "documents", "instructed_queries"]
+    for stem, keys in formats.items():
+        record = {}
+        # '"key"' takes a value; '"key": [{"a", "b"}, ...]' a list of one object
+        for key, nested in re.findall(r'"(\w+)"(?::\s*\[\{([^}]*)\})?', keys):
+            record[key] = ([{k: README_VALUES[k] for k in re.findall(r'"(\w+)"', nested)}]
+                           if nested else README_VALUES[key])
+        (tmp_path / f"{stem}.jsonl").write_text(json.dumps(record) + "\n")
+    dataset = ingest.load_dataset(tmp_path)
+    assert list(dataset.documents) == ["d1"]
+    assert dataset.core_queries["c1"].positives == (("d1", "expert"),)
+    assert dataset.instructed_queries["q1"].gold_doc_id == "d1"

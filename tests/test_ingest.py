@@ -53,6 +53,104 @@ def test_load_run_score_order_contradiction(tmp_path):
         ingest.load_run(path, Mode.ORIGINAL)
 
 
+def test_load_run_tie_in_descending_doc_id_order(tmp_path):
+    # equal scores must be ranked by ascending doc_id
+    path = tmp_path / "a.run"
+    path.write_text("q1 Q0 d2 1 1.0 x\nq1 Q0 d1 2 1.0 x\n")
+    with pytest.raises(ScoreOrderViolation):
+        ingest.load_run(path, Mode.ORIGINAL)
+
+
+def test_load_run_duplicate_after_a_gap_is_a_duplicate(tmp_path):
+    # rank 2 is missing and d2 repeats: the duplicate is reported, whichever
+    # comes first in rank order
+    path = tmp_path / "a.run"
+    path.write_text("q1 Q0 d1 1 3.0 x\nq1 Q0 d2 3 2.0 x\nq1 Q0 d2 4 1.0 x\n")
+    with pytest.raises(DuplicateDoc, match="'d2'"):
+        ingest.load_run(path, Mode.ORIGINAL)
+
+
+def _reference_lists(per_query, mode, score_from_rank):
+    """Canonicalise by sorting on rank, then check against RankedList's order."""
+    lists = {}
+    for query_key, rows in per_query.items():
+        rows = sorted(rows, key=lambda r: r[0])
+        seen = set()
+        for expected, (rank, doc_id, _) in enumerate(rows, start=1):
+            if doc_id in seen:
+                raise DuplicateDoc(query_key, doc_id)
+            seen.add(doc_id)
+            if rank != expected:
+                raise RankGap(query_key)
+        if score_from_rank:
+            entries = [(doc_id, 1.0 / rank) for rank, doc_id, _ in rows]
+        else:
+            entries = [(doc_id, score) for _, doc_id, score in rows]
+        ranked = RankedList(query_key, mode, entries)
+        if [doc_id for doc_id, _ in ranked.entries] != [doc_id for doc_id, _ in entries]:
+            raise ScoreOrderViolation(query_key)
+        lists[(query_key, mode)] = ranked
+    return lists
+
+
+FAULTS = ("none", "duplicate", "gap", "repeated-rank", "swapped-scores", "descending-tie")
+
+
+@st.composite
+def faulty_runs(draw):
+    """Valid rank-ordered lists, one of them with at most one fault."""
+    per_query = {}
+    for q in range(draw(st.integers(1, 3))):
+        doc_ids = draw(st.lists(st.integers(0, 20).map(lambda i: f"d{i:02d}"),
+                                min_size=1, max_size=8, unique=True))
+        scores = draw(st.lists(st.sampled_from([-1.5, 0.0, 0.25, 1.0, 2.0]),
+                               min_size=len(doc_ids), max_size=len(doc_ids)))
+        canonical = sorted(zip(doc_ids, scores), key=lambda e: (-e[1], e[0]))
+        per_query[f"q{q}"] = [[rank, doc_id, score] for rank, (doc_id, score)
+                              in enumerate(canonical, start=1)]
+    fault = draw(st.sampled_from(FAULTS))
+    rows = per_query[draw(st.sampled_from(sorted(per_query)))]
+    n = len(rows)
+    i = draw(st.integers(0, n - 1))
+    j = draw(st.integers(0, n - 1).filter(lambda j: j != i)) if n > 1 else i
+    if fault == "duplicate" and n > 1:
+        rows[j][1] = rows[i][1]
+    elif fault == "gap":
+        shift = draw(st.integers(1, 3))
+        for row in rows[i:]:
+            row[0] += shift
+    elif fault == "repeated-rank" and n > 1:
+        rows[j][0] = rows[i][0]
+    elif fault == "swapped-scores":
+        rows[i][2], rows[j][2] = rows[j][2], rows[i][2]
+    elif fault == "descending-tie" and n > 1:
+        i = min(i, n - 2)
+        rows[i + 1][2] = rows[i][2]
+        rows[i + 1][1], rows[i][1] = sorted((rows[i][1], rows[i + 1][1]))
+    lines = [(query_key, *row) for query_key, rows in per_query.items() for row in rows]
+    return draw(st.permutations(lines))
+
+
+@given(faulty_runs(), st.booleans())
+def test_load_run_matches_rank_sort_reference(tmp_path_factory, lines, score_from_rank):
+    path = tmp_path_factory.mktemp("ref") / "x.run"
+    path.write_text("".join(f"{q} Q0 {d} {r} {s!r} t\n" for q, r, d, s in lines))
+    per_query = {}
+    for query_key, rank, doc_id, score in lines:  # file order, as load_run reads it
+        per_query.setdefault(query_key, []).append((rank, doc_id, score))
+    try:
+        expected = _reference_lists(per_query, Mode.REVERSED, score_from_rank)
+    except (DuplicateDoc, RankGap, ScoreOrderViolation) as exc:
+        with pytest.raises(type(exc)) as got:
+            ingest.load_run(path, Mode.REVERSED, score_from_rank=score_from_rank)
+        assert str(got.value) == str(exc)
+    else:
+        runset = ingest.load_run(path, Mode.REVERSED, score_from_rank=score_from_rank)
+        assert runset.lists == expected
+        assert [ranked.entries for ranked in runset.lists.values()] == [
+            ranked.entries for ranked in expected.values()]
+
+
 def test_write_run_empty_and_counts(tmp_path):
     path = tmp_path / "out.run"
     ingest.write_run(RunSet("s"), path)

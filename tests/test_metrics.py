@@ -10,7 +10,7 @@ from infosearch_eval.errors import (EmptyGroup, EmptyInput, EmptyRelevantSet,
 from infosearch_eval.metrics import (PMRR_FLIPPED, GoldContext, MetricConfig,
                                      mrr_at_1, ndcg_at_k, p_mrr_doc,
                                      robustness_at_k, sicr, sicr_indicator,
-                                     wise, wise_ideal_query, wise_penalty,
+                                     wise_ideal_query, wise_penalty,
                                      wise_query, wise_reward)
 
 from conftest import make_list
@@ -224,11 +224,3 @@ def test_wise_ideal_dominates(r_ori, r_rev, n):
     ideal = wise_ideal_query(r_ori, n, cfg.k_wise)
     for r_ins in range(1, r_ori + 1):
         assert ideal >= wise_query(ctx(r_ori, r_ins, r_rev, n=n), cfg) - 1e-12
-
-
-def test_wise_mean():
-    assert wise([1.0, -1.0]) == 0.0
-    assert wise([0.8, 0.01, -0.5, -1.0]) == pytest.approx(-0.1725, abs=1e-12)
-    assert wise([0.37]) == 0.37
-    with pytest.raises(EmptyInput):
-        wise([])
