@@ -2,8 +2,8 @@
 
 Implements the three-mode evaluation protocol (original / instructed /
 reversed) with nDCG@k, MRR@1, Robustness@k, p-MRR, SICR and WISE
-(actual/ideal/gap), a BM25 reference retriever, a list-wise reranker I/O
-adapter, and a synthetic-data brute-force oracle for self-verification.
+(actual/ideal/gap), a BM25 reference retriever, and a synthetic-data
+brute-force oracle for self-verification.
 """
 
 from .core import (CoreQuery, Dataset, Dimension, Document, InstructedQuery,

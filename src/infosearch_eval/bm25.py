@@ -120,11 +120,11 @@ def search(index: InvertedIndex, params: Bm25Params, query_text: str,
 
 
 def run_all_modes(dataset: Dataset, params: Bm25Params = Bm25Params(),
-                  top_k: int = 100, system_id: str = "bm25") -> RunSet:
+                  top_k: int = 100) -> RunSet:
     """Retrieve for every core/instructed/reversed query over the full corpus."""
     docs = list(dataset.documents.values())
     index = build_index(docs, params)
-    runset = RunSet(system_id=system_id)
+    runset = RunSet(system_id="bm25")
     for cq in dataset.core_queries.values():
         runset.add(RankedList(cq.core_id, Mode.ORIGINAL,
                               search(index, params, cq.text, top_k)))

@@ -38,25 +38,11 @@ class ScoreOrderViolation(InfoSearchError):
         super().__init__(f"score order contradicts rank order for {query_key!r}")
 
 
-# --- metrics ---
-
-class EmptyRelevantSet(InfoSearchError):
-    pass
-
-
-class EmptyGroup(InfoSearchError):
-    pass
-
+# --- harness ---
 
 class EmptyInput(InfoSearchError):
     pass
 
-
-class InvariantBreach(InfoSearchError):
-    pass
-
-
-# --- harness ---
 
 class MissingList(InfoSearchError):
     def __init__(self, gaps: list[tuple[str, str]]):
@@ -68,34 +54,4 @@ class MissingList(InfoSearchError):
 # --- bm25 ---
 
 class EmptyCorpus(InfoSearchError):
-    pass
-
-
-# --- rerank adapter ---
-
-class EmptyPassages(InfoSearchError):
-    pass
-
-
-class TooManyPassages(InfoSearchError):
-    pass
-
-
-class Unparseable(InfoSearchError):
-    def __init__(self, raw: str):
-        self.raw = raw
-        super().__init__(f"no valid ranking identifiers found in: {raw!r}")
-
-
-class BadPermutation(InfoSearchError):
-    pass
-
-
-class MissingScore(InfoSearchError):
-    def __init__(self, doc_id: str):
-        self.doc_id = doc_id
-        super().__init__(f"no score for candidate {doc_id!r}")
-
-
-class ScoreOutOfRange(InfoSearchError):
     pass

@@ -112,8 +112,7 @@ def write_dataset(dataset: Dataset, directory: str | Path) -> None:
            "gold_doc_id": q.gold_doc_id} for q in dataset.instructed_queries.values()))
 
 
-def load_run(path: str | Path, mode: Mode, score_from_rank: bool = False,
-             system_id: str = "") -> RunSet:
+def load_run(path: str | Path, mode: Mode, score_from_rank: bool = False) -> RunSet:
     """Parse a run file into canonical RankedLists.
 
     Lines may come in any order.  Per query the ranks must be 1..n, and the
@@ -144,7 +143,7 @@ def load_run(path: str | Path, mode: Mode, score_from_rank: bool = False,
         except UnicodeDecodeError as exc:
             raise IntegrityViolation(f"{path}: not UTF-8 ({exc.reason})") from exc
 
-    runset = RunSet(system_id=system_id or path.stem)
+    runset = RunSet(system_id=path.stem)
     for query_key, rows in per_query.items():
         ranked = RankedList(query_key, mode, [(doc_id, score) for _, doc_id, score in rows])
         by_rank: list[str | None] = [None] * len(rows)

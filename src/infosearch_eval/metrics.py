@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .core import RankedList
-from .errors import (EmptyGroup, EmptyInput, EmptyRelevantSet, InvariantBreach)
 
 NEG_INF = float("-inf")
 
@@ -66,9 +65,7 @@ class GoldContext:
 
 
 def ndcg_at_k(ranked: RankedList, relevant: set[str], k: int) -> float:
-    """Binary-relevance nDCG@k with 1/log2(rank+1) discount."""
-    if not relevant:
-        raise EmptyRelevantSet("relevant set is empty")
+    """Binary-relevance nDCG@k with 1/log2(rank+1) discount; relevant is non-empty."""
     dcg = 0.0
     for pos, (doc_id, _) in enumerate(ranked.entries[:k], start=1):
         if doc_id in relevant:
@@ -79,22 +76,15 @@ def ndcg_at_k(ranked: RankedList, relevant: set[str], k: int) -> float:
 
 def mrr_at_1(ranked: RankedList, relevant: set[str]) -> int:
     """1 iff the top-ranked document is relevant; 0 for an empty list."""
-    if not relevant:
-        raise EmptyRelevantSet("relevant set is empty")
     if not ranked.entries:
         return 0
     return 1 if ranked.entries[0][0] in relevant else 0
 
 
 def robustness_at_k(groups: Sequence[Sequence[float]]) -> float:
-    """Mean over groups of the minimum nDCG within each group."""
-    if not groups:
-        raise EmptyInput("no groups")
-    minima = []
-    for group in groups:
-        if not group:
-            raise EmptyGroup("empty robustness group")
-        minima.append(min(group))
+    """Mean over groups of the minimum nDCG within each group; groups and
+    each group are non-empty."""
+    minima = [min(g) for g in groups]
     return math.fsum(minima) / len(minima)
 
 
@@ -119,8 +109,6 @@ def sicr_indicator(ctx: GoldContext) -> int:
 
 def sicr(indicators: Iterable[int]) -> float:
     values = list(indicators)
-    if not values:
-        raise EmptyInput("no indicators")
     return math.fsum(values) / len(values)
 
 
@@ -140,10 +128,8 @@ def wise_penalty(r_ori: int, r_ins: int, r_rev: int) -> float:
         return -1.0
     if r_ori <= r_ins:
         return (r_ori - r_ins) / r_ins
-    if r_rev <= r_ori:
-        return (r_rev - r_ori) / r_ori
-    raise InvariantBreach(
-        f"no penalty case for ranks ori={r_ori} ins={r_ins} rev={r_rev}")
+    # r_ins < r_ori here, so the failed reward condition leaves r_rev <= r_ori
+    return (r_rev - r_ori) / r_ori
 
 
 def wise_query(ctx: GoldContext, cfg: MetricConfig) -> float:

@@ -3,8 +3,9 @@
 Every formula is transcribed here from scratch, with no code shared with
 the metrics or harness modules — differential testing against a shared
 bug would be worthless.  Lists are scanned linearly, groups are rebuilt
-by filtering, and aggregation is re-derived independently.  Inputs are
-capped at 10^4 instructed queries.
+by filtering, and aggregation is re-derived independently.  The oracle
+command refuses datasets of more than MAX_ORACLE_QUERIES instructed queries
+before it loads any run file.
 """
 
 from __future__ import annotations
@@ -63,9 +64,6 @@ def _avg_opt(values: list[Optional[float]]) -> Optional[float]:
 def oracle_metrics(dataset: Dataset, runset: RunSet,
                    cfg: MetricConfig = MetricConfig()) -> dict[str, dict[str, Optional[float]]]:
     """Recompute the full report naively: {scope: {field: value}}."""
-    if len(dataset.instructed_queries) > MAX_ORACLE_QUERIES:
-        raise ValueError(f"oracle input exceeds {MAX_ORACLE_QUERIES} queries")
-
     per_query: list[dict] = []
     for iq in dataset.instructed_queries.values():
         core = dataset.core_queries[iq.core_id]

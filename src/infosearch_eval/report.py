@@ -66,17 +66,3 @@ def render(rows: list[ReportRow], fmt: str = "markdown") -> bytes:
              "|" + "|".join("-" * (w + 2) for w in widths) + "|"]
     lines.extend(md_row(cells) for cells in table)
     return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def parse_csv(data: bytes) -> list[ReportRow]:
-    """Inverse of render(..., 'csv') up to one-decimal precision."""
-    lines = data.decode("utf-8").splitlines()
-    header = lines[0].split(",")
-    rows = []
-    for line in lines[1:]:
-        cells = dict(zip(header, line.split(",")))
-        kwargs = {"system_id": cells["system_id"], "scope": cells["scope"]}
-        for col in COLUMNS:
-            kwargs[col] = float(cells[col]) if cells[col] else None
-        rows.append(ReportRow(**kwargs))
-    return rows

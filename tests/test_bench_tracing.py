@@ -1,0 +1,45 @@
+"""The benchmark's tracer still reaches every layer it reports.
+
+``bench/tracing.py`` wraps the program's functions by name, and a layer whose
+wrapped name is no longer called reads 0 under ``bench/run.py --trace 1``
+instead of failing.  This runs the traced CLI on a small fixture and requires
+each per-layer metric to be non-zero in the ``evaluate`` or the ``bm25-run``
+trace.
+"""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from infosearch_eval.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_layer_is_reached(tmp_path):
+    tracing = _load_tracing()
+    fixture = tmp_path / "fixture"
+    assert main(["synth", "--out", str(fixture), "--seed", "7", "--dims", "Audience,Format",
+                 "--behaviors", "random"]) == 0
+    dataset = str(fixture / "dataset")
+    paths = [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    derived = []
+    for name, argv in (
+            ("evaluate", ["evaluate", dataset, str(fixture / "runs"), "--out", str(tmp_path / "reports")]),
+            ("bm25-run", ["bm25-run", dataset, "--out", str(tmp_path / "bm25")])):
+        trace = tmp_path / f"{name}.trace.json"
+        subprocess.run([sys.executable, str(BENCH / "traced_cli.py"), str(trace), *argv],
+                       env=env, check=True, capture_output=True, timeout=120)
+        derived.append(tracing.derive(trace))
+    assert [m for m in tracing.LAYER_METRICS if not any(d[m] for d in derived)] == []

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from infosearch_eval import core, ingest
+from infosearch_eval import core, ingest, oracle
 from infosearch_eval.cli import main
 from infosearch_eval.core import validate_dataset
 from infosearch_eval.synth import SynthSpec, gen_synthetic_dataset
@@ -126,6 +126,18 @@ def test_oracle_agrees(fixture_dirs, capsys):
     dataset_dir, runs_dir = fixture_dirs
     assert main(["oracle", str(dataset_dir), str(runs_dir / "random")]) == 0
     assert "0 mismatches" in capsys.readouterr().out
+
+
+def test_oracle_rejects_oversize(fixture_dirs, capsys, monkeypatch):
+    dataset_dir, runs_dir = fixture_dirs
+    monkeypatch.setattr(oracle, "MAX_ORACLE_QUERIES", 1)
+    # the cap is checked before any run file is read: a missing one is not reached
+    (runs_dir / "random" / "reversed.run").unlink()
+    capsys.readouterr()
+    assert main(["oracle", str(dataset_dir), str(runs_dir / "random")]) == 1
+    out = capsys.readouterr()
+    assert out.err.splitlines() == ["error: oracle input exceeds 1 queries"]
+    assert out.out == ""
 
 
 def test_synth_deterministic(tmp_path):

@@ -176,7 +176,7 @@ def test_run_round_trip(tmp_path_factory, lists):
     for qk, entries in lists.items():
         rs.add(RankedList(qk, Mode.INSTRUCTED, entries))
     ingest.write_run(rs, path)
-    back = ingest.load_run(path, Mode.INSTRUCTED, system_id="sys")
+    back = ingest.load_run(path, Mode.INSTRUCTED)
     assert back.lists == rs.lists
 
 

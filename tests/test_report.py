@@ -4,8 +4,7 @@ import pytest
 
 from infosearch_eval.harness import evaluate_system
 from infosearch_eval.metrics import wise_per
-from infosearch_eval.report import (COLUMNS, ReportRow, parse_csv, render,
-                                    row_from_summary)
+from infosearch_eval.report import COLUMNS, ReportRow, render, row_from_summary
 from infosearch_eval.synth import SynthSpec, gen_synthetic_dataset, gen_synthetic_runs
 
 
@@ -50,12 +49,6 @@ def test_markdown_row_count():
     md = render(rows, "markdown").decode()
     data_lines = [ln for ln in md.splitlines() if ln.split("|")[1].strip() == "sys"]
     assert len(data_lines) == 7
-
-
-def test_csv_round_trip_bytes():
-    rows = sample_rows()
-    data = render(rows, "csv")
-    assert render(parse_csv(data), "csv") == data
 
 
 def test_display_rounds_half_away_from_zero():
