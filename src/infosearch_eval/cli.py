@@ -3,13 +3,19 @@
 Exit codes: 0 success, 1 data problem (violations, missing lists,
 oversize oracle input), 2 usage or environment problem (bad option
 values, I/O, missing paths).  Run directories hold one subdirectory per
-system with three mode files: original.run, instructed.run, reversed.run;
-systems are evaluated one after another.
+system with three mode files: original.run, instructed.run, reversed.run.
+``evaluate`` loads the dataset once and evaluates the systems in forked
+worker processes, one per CPU in the process's affinity mask and at most one
+per system, so ``taskset`` caps them; with one such CPU, or where ``fork`` is
+not available, it evaluates them one after another in this process.  Reports
+and errors are the same either way: the first faulty system in sorted order
+decides the exit code and the one error line.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -96,6 +102,54 @@ def _evaluate_one(dataset: Dataset, system_dir: Path, cfg: MetricConfig,
     return rows
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+# (dataset, cfg, score_from_rank), set in each worker process only
+_worker_args = None
+
+
+def _init_worker(*args) -> None:
+    global _worker_args
+    _worker_args = args
+
+
+def _evaluate_in_worker(system_dir: Path):
+    dataset, cfg, score_from_rank = _worker_args
+    return _evaluate_one(dataset, system_dir, cfg, score_from_rank)
+
+
+def _evaluate_all(dataset: Dataset, system_dirs: list[Path], cfg: MetricConfig,
+                  score_from_rank: bool) -> list[list]:
+    """The report rows of each system, in the order of system_dirs.
+
+    Raises what evaluating the first faulty system raises, and
+    ChildProcessError when a worker process dies.
+    """
+    workers = min(_cpu_count(), len(system_dirs))
+    if workers > 1:
+        # imported here: it costs every other command time and memory
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
+            # fork, so that each worker inherits the dataset instead of
+            # unpickling it; this process runs no other thread when it forks
+            try:
+                with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                         initializer=_init_worker,
+                                         initargs=(dataset, cfg, score_from_rank)) as pool:
+                    return list(pool.map(_evaluate_in_worker, system_dirs))
+            except BrokenProcessPool as exc:
+                raise ChildProcessError("an evaluate worker process died") from exc
+    return [_evaluate_one(dataset, d, cfg, score_from_rank) for d in system_dirs]
+
+
 def cmd_evaluate(args) -> int:
     dataset_dir, runs_dir, out_dir = Path(args.dataset), Path(args.runs), Path(args.out)
     if not dataset_dir.is_dir() or not runs_dir.is_dir():
@@ -107,8 +161,7 @@ def cmd_evaluate(args) -> int:
         if not system_dirs:
             print("error: no system subdirectories in runs directory", file=sys.stderr)
             return 2
-        all_rows = [_evaluate_one(dataset, d, args.settings, args.score_from_rank)
-                    for d in system_dirs]
+        all_rows = _evaluate_all(dataset, system_dirs, args.settings, args.score_from_rank)
     except FileNotFoundError as exc:
         print(f"error: missing run file: {exc}", file=sys.stderr)
         return 2

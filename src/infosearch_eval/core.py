@@ -1,9 +1,10 @@
 """Immutable domain types: documents, queries, ranked lists, run sets.
 
-All types are treated as immutable after construction and are safe to share
-across threads.  Ranked lists are kept in canonical form: non-increasing by
-score with ties broken by ascending doc_id, which makes every downstream
-metric reproducible bit-for-bit.
+All types are treated as immutable after construction, so ``evaluate``
+shares one loaded dataset with the worker processes it forks, which only
+read it.  Ranked lists are kept in canonical form: non-increasing by score
+with ties broken by ascending doc_id, which makes every downstream metric
+reproducible bit-for-bit.
 """
 
 from __future__ import annotations

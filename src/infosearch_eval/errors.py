@@ -1,8 +1,19 @@
 """Exception types shared across the package."""
 
+import copyreg
+
 
 class InfoSearchError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    Errors pickle as their message and attributes, so one raised in an
+    ``evaluate`` worker process reaches the parent unchanged.  The default
+    pickling calls the class with ``args``, which fails or doubles the message
+    wherever ``__init__`` takes other parameters than the message.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 # --- ingest ---
