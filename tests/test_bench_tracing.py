@@ -4,7 +4,8 @@
 wrapped name is no longer called reads 0 under ``bench/run.py --trace 1``
 instead of failing.  This runs the traced CLI on a small fixture and requires
 each per-layer metric to be non-zero in the ``evaluate`` or the ``bm25-run``
-trace.
+trace.  ``bm25-run`` must also send every query through ``bm25.search``, the
+name its per-layer search metrics are recorded under.
 """
 
 import importlib.util
@@ -14,6 +15,7 @@ import sys
 from pathlib import Path
 
 from infosearch_eval.cli import main
+from infosearch_eval.ingest import load_dataset
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -43,3 +45,5 @@ def test_every_traced_layer_is_reached(tmp_path):
                        env=env, check=True, capture_output=True, timeout=120)
         derived.append(tracing.derive(trace))
     assert [m for m in tracing.LAYER_METRICS if not any(d[m] for d in derived)] == []
+    ds = load_dataset(dataset)
+    assert derived[1]["bm25.search.calls"] == len(ds.core_queries) + 2 * len(ds.instructed_queries)

@@ -2,11 +2,15 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from infosearch_eval.bm25 import (Bm25Params, build_index, run_all_modes,
-                                  search, tokenize)
-from infosearch_eval.core import Dimension, Document
+from infosearch_eval.bm25 import (Bm25Params, _accumulate, build_index,
+                                  run_all_modes, search, tokenize)
+from infosearch_eval.core import (CoreQuery, Dataset, Dimension, Document,
+                                  InstructedQuery, Mode)
 from infosearch_eval.errors import EmptyCorpus
+from infosearch_eval.synth import SynthSpec, gen_synthetic_dataset
 
 
 def doc(doc_id, text):
@@ -213,6 +217,100 @@ def test_identical_texts_identical_rankings(desk_dataset):
     docs = list(desk_dataset.documents.values())
     idx = build_index(docs, params)
     cq = desk_dataset.core_queries["c0"]
-    from infosearch_eval.core import Mode
     again = search(idx, params, cq.text, 100)
     assert tuple(again) == runset.get("c0", Mode.ORIGINAL).entries
+
+
+def per_query_reference(dataset, params, top_k):
+    """Every query searched from scratch, in the order run_all_modes adds them."""
+    idx = build_index(list(dataset.documents.values()), params)
+    out = [((cq.core_id, Mode.ORIGINAL), search(idx, params, cq.text, top_k))
+           for cq in dataset.core_queries.values()]
+    for iq in dataset.instructed_queries.values():
+        out.append(((iq.query_id, Mode.INSTRUCTED), search(idx, params, iq.instructed_text, top_k)))
+        out.append(((iq.query_id, Mode.REVERSED), search(idx, params, iq.reversed_text, top_k)))
+    return out
+
+
+def assert_runs_equal_reference(dataset, params=Bm25Params(), top_k=100):
+    got = [(key, list(ranked.entries))
+           for key, ranked in run_all_modes(dataset, params, top_k).lists.items()]
+    assert got == per_query_reference(dataset, params, top_k)
+
+
+def prefix_dataset(docs, cores, instructed):
+    """Dataset from doc texts, {core_id: text} and [(core_id, instructed, reversed)]."""
+    documents = {f"d{i}": doc(f"d{i}", text) for i, text in enumerate(docs)}
+    core_queries = {cid: CoreQuery(cid, text, Dimension.AUDIENCE, (("d0", "x"),))
+                    for cid, text in cores.items()}
+    iqs = {f"q{i}": InstructedQuery(f"q{i}", cid, Dimension.AUDIENCE, f"c{i}", ins, rev, "d0")
+           for i, (cid, ins, rev) in enumerate(instructed)}
+    return Dataset(documents, core_queries, iqs)
+
+
+PREFIX_DOCS = ["foo bar", "foobar x", "foo foo x y", "糖 尿 病 x", "糖尿 foo", "bar y y",
+               "plum", "x foobar bar"]
+
+
+def test_run_all_modes_equals_per_query_search_on_prefix_cases():
+    dataset = prefix_dataset(PREFIX_DOCS, {
+        "plain": "foo bar", "merge": "foo", "cjk": "x 糖", "empty": "",
+        "lonely": "plum"}, [
+        ("plain", "foo bar Please find x.", "foo bar Please avoid y."),
+        ("merge", "foobar x", "foo bar x"),             # merges with "foo", then does not
+        ("cjk", "x 糖尿病", "x 糖x"),                    # core ends in a CJK char
+        ("plain", "foo bar foo", "foo bar bar bar"),     # repeats a core token
+        ("empty", "foo x", "糖"),                        # empty core text
+        ("plain", "bar foo", "x y"),                     # does not begin with the core
+        ("ghost", "foo bar", "x"),                       # core not in the dataset
+        ("merge", "foo", "FOO, bar"),                    # equal to the core's tokens
+    ])
+    for top_k in (1, 3, 100):
+        assert_runs_equal_reference(dataset, top_k=top_k)
+
+
+def test_run_all_modes_equals_per_query_search_on_datasets(desk_dataset):
+    assert_runs_equal_reference(desk_dataset)
+    assert_runs_equal_reference(desk_dataset, Bm25Params(k1=0.9, b=0.4), top_k=3)
+    assert_runs_equal_reference(gen_synthetic_dataset(SynthSpec(seed=7)))
+
+
+WORDS = ["foo", "bar", "foobar", "x", "Foo", "糖", "尿", "病", "plum", ""]
+texts = st.lists(st.tuples(st.sampled_from(WORDS), st.sampled_from(["", " ", ", "])),
+                 max_size=5).map(lambda parts: "".join(w + sep for w, sep in parts))
+
+
+@st.composite
+def prefix_datasets(draw):
+    """Instructed texts that extend their core's text, merge with its last
+    token, or start afresh; cores that are empty, end in CJK or are missing."""
+    cores = {f"c{i}": draw(texts) for i in range(draw(st.integers(1, 3)))}
+
+    def query_text(core_text):
+        return draw(st.one_of(texts.map(lambda tail: core_text + tail), texts))
+
+    instructed = []
+    for _ in range(draw(st.integers(0, 6))):
+        cid = draw(st.sampled_from([*cores, "ghost"]))
+        core_text = cores.get(cid, "")
+        instructed.append((cid, query_text(core_text), query_text(core_text)))
+    docs = draw(st.lists(texts, min_size=1, max_size=8))
+    return prefix_dataset(docs, cores, instructed), draw(st.integers(1, 10))
+
+
+@settings(max_examples=200, deadline=None)
+@given(prefix_datasets())
+def test_run_all_modes_equals_per_query_search_on_generated_datasets(case):
+    dataset, top_k = case
+    assert_runs_equal_reference(dataset, top_k=top_k)
+
+
+def test_search_with_base_leaves_base_unchanged():
+    params = Bm25Params()
+    idx = build_index([doc(f"d{i}", text) for i, text in enumerate(PREFIX_DOCS)], params)
+    tokens = tokenize("foo bar")
+    base = (tokens, _accumulate(idx, tokens, {}))
+    before = (list(base[0]), list(base[1].items()))
+    for text in ("foo bar x y", "foo bar", "foobar", "x"):
+        assert search(idx, params, text, 5, base) == search(idx, params, text, 5)
+    assert (base[0], list(base[1].items())) == before
