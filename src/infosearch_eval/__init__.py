@@ -8,7 +8,7 @@ brute-force oracle for self-verification.
 
 from .core import (CoreQuery, Dataset, Dimension, Document, InstructedQuery,
                    Mode, RankedList, RunSet, ValidationReport, rank_of,
-                   score_of, validate_dataset)
+                   validate_dataset)
 from .metrics import GoldContext, MetricConfig
 from .harness import DimensionSummary, EvalRecord, evaluate_system
 
@@ -16,7 +16,7 @@ __all__ = [
     "CoreQuery", "Dataset", "Dimension", "DimensionSummary", "Document",
     "EvalRecord", "GoldContext", "InstructedQuery", "MetricConfig", "Mode",
     "RankedList", "RunSet", "ValidationReport", "evaluate_system", "rank_of",
-    "score_of", "validate_dataset",
+    "validate_dataset",
 ]
 
 __version__ = "0.1.0"

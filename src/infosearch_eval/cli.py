@@ -57,7 +57,7 @@ def _load_system_runs(system_dir: Path, score_from_rank: bool) -> RunSet:
     for mode, fname in MODE_FILES.items():
         path = system_dir / fname
         if not path.is_file():
-            raise FileNotFoundError(path)
+            raise FileNotFoundError(f"missing run file: {path}")
         part = ingest.load_run(path, mode, score_from_rank=score_from_rank)
         for ranked in part.lists.values():
             runset.add(ranked)
@@ -162,9 +162,6 @@ def cmd_evaluate(args) -> int:
             print("error: no system subdirectories in runs directory", file=sys.stderr)
             return 2
         all_rows = _evaluate_all(dataset, system_dirs, args.settings, args.score_from_rank)
-    except FileNotFoundError as exc:
-        print(f"error: missing run file: {exc}", file=sys.stderr)
-        return 2
     except InfoSearchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -221,9 +218,6 @@ def cmd_oracle(args) -> int:
             return 1
         runset = _load_system_runs(system_dir, args.score_from_rank)
         _, summaries, overall = evaluate_system(dataset, runset, cfg)
-    except FileNotFoundError as exc:
-        print(f"error: missing run file: {exc}", file=sys.stderr)
-        return 2
     except InfoSearchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

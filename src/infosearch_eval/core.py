@@ -112,24 +112,13 @@ def rank_of(ranked: RankedList, doc_id: str) -> Optional[int]:
     return ranked._positions.get(doc_id)
 
 
-def score_of(ranked: RankedList, doc_id: str) -> Optional[float]:
-    """Score of doc_id; None when absent."""
-    pos = ranked._positions.get(doc_id)
-    if pos is None:
-        return None
-    return ranked.entries[pos - 1][1]
-
-
 @dataclass
 class RunSet:
     system_id: str
     lists: dict[tuple[str, Mode], RankedList] = field(default_factory=dict)
 
     def add(self, ranked: RankedList) -> None:
-        key = (ranked.query_key, ranked.mode)
-        if key in self.lists:
-            raise ValueError(f"duplicate list for {key}")
-        self.lists[key] = ranked
+        self.lists[ranked.query_key, ranked.mode] = ranked
 
     def get(self, query_key: str, mode: Mode) -> Optional[RankedList]:
         return self.lists.get((query_key, mode))

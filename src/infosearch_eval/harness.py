@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from .core import (Dataset, Dimension, InstructedQuery, Mode, RankedList, RunSet,
-                   rank_of, score_of)
+from .core import Dataset, Dimension, InstructedQuery, Mode, RankedList, RunSet, rank_of
 from .errors import EmptyInput, MissingList
 from .metrics import (GoldContext, MetricConfig, mrr_at_1, ndcg_at_k, p_mrr_doc,
                       robustness_at_k, sicr, sicr_indicator, wise_ideal_query,
@@ -27,12 +26,7 @@ class EvalRecord:
     query_id: str
     core_id: str
     dimension: Dimension
-    r_ori: int
-    r_ins: int
-    r_rev: int
-    s_ori: float
-    s_ins: float
-    s_rev: float
+    gold: GoldContext
     wise_f: float
     wise_ideal: float
     sicr_i: int
@@ -80,6 +74,14 @@ def relevance_sets(dataset: Dataset, iq: InstructedQuery
     return rel_ori, rel_ins, (rel_ori - rel_ins) or None
 
 
+def _gold_in(ranked: RankedList, doc_id: str) -> tuple[int, float]:
+    """Rank and score of doc_id in ranked; depth+1 and -inf when it is absent."""
+    rank = rank_of(ranked, doc_id)
+    if rank is None:
+        return len(ranked) + 1, float("-inf")
+    return rank, ranked.entries[rank - 1][1]
+
+
 def build_gold_contexts(dataset: Dataset, runset: RunSet
                         ) -> list[tuple[InstructedQuery, GoldContext,
                                         tuple[RankedList, RankedList, RankedList]]]:
@@ -97,14 +99,11 @@ def build_gold_contexts(dataset: Dataset, runset: RunSet
             lists.append(ranked)
         if gaps:
             continue
-        l_ori, l_ins, l_rev = lists
-        gold = iq.gold_doc_id
-        n = len(dataset.core_queries[iq.core_id].positives)
-        ctx = GoldContext(
-            r_ori=rank_of(l_ori, gold), r_ins=rank_of(l_ins, gold), r_rev=rank_of(l_rev, gold),
-            s_ori=score_of(l_ori, gold), s_ins=score_of(l_ins, gold), s_rev=score_of(l_rev, gold),
-            n_positives=n, depth_ori=len(l_ori), depth_ins=len(l_ins), depth_rev=len(l_rev))
-        out.append((iq, ctx, (l_ori, l_ins, l_rev)))
+        (r_ori, s_ori), (r_ins, s_ins), (r_rev, s_rev) = (
+            _gold_in(ranked, iq.gold_doc_id) for ranked in lists)
+        ctx = GoldContext(r_ori, r_ins, r_rev, s_ori, s_ins, s_rev,
+                          n_positives=len(dataset.core_queries[iq.core_id].positives))
+        out.append((iq, ctx, tuple(lists)))
     if gaps:
         raise MissingList(list(gaps))
     return out
@@ -127,65 +126,61 @@ def evaluate_system(dataset: Dataset, runset: RunSet, cfg: MetricConfig = Metric
     if not dataset.instructed_queries:
         raise EmptyInput("dataset has no instructed queries")
     records: list[EvalRecord] = []
+    by_dimension: dict[Dimension, list[EvalRecord]] = {dim: [] for dim in Dimension}
     originals: dict[str, tuple[RankedList, set[str]]] = {}  # core_id -> list, relevant
     for iq, ctx, (l_ori, l_ins, l_rev) in build_gold_contexts(dataset, runset):
-        r_ori, r_ins, r_rev = ctx.resolved_ranks()
-        s_ori, s_ins, s_rev = ctx.resolved_scores()
         rel_ori, rel_ins, rel_rev = relevance_sets(dataset, iq)
         originals[iq.core_id] = (l_ori, rel_ori)
 
-        records.append(EvalRecord(
-            query_id=iq.query_id, core_id=iq.core_id, dimension=iq.dimension,
-            r_ori=r_ori, r_ins=r_ins, r_rev=r_rev,
-            s_ori=s_ori, s_ins=s_ins, s_rev=s_rev,
+        record = EvalRecord(
+            query_id=iq.query_id, core_id=iq.core_id, dimension=iq.dimension, gold=ctx,
             wise_f=wise_query(ctx, cfg),
-            wise_ideal=wise_ideal_query(r_ori, ctx.n_positives, cfg.k_wise),
+            wise_ideal=wise_ideal_query(ctx.r_ori, ctx.n_positives, cfg.k_wise),
             sicr_i=sicr_indicator(ctx),
-            p_mrr=p_mrr_doc(r_ori, r_ins, cfg.p_mrr_sign),
+            p_mrr=p_mrr_doc(ctx.r_ori, ctx.r_ins, cfg.p_mrr_sign),
             ndcg_ins=ndcg_at_k(l_ins, rel_ins, cfg.k_ndcg),
             ndcg_rev=ndcg_at_k(l_rev, rel_rev, cfg.k_ndcg) if rel_rev else None,
             mrr1_ins=mrr_at_1(l_ins, rel_ins),
             mrr1_rev=mrr_at_1(l_rev, rel_rev) if rel_rev else None,
-        ))
+        )
+        records.append(record)
+        by_dimension[iq.dimension].append(record)
 
-    dims = sorted({r.dimension for r in records}, key=lambda d: list(Dimension).index(d))
-    summaries = [_summarize(originals, cfg, [r for r in records if r.dimension is dim],
-                            dim.value)
-                 for dim in dims]
+    summaries = [_summarize(originals, cfg, dim_records, dim.value)
+                 for dim, dim_records in by_dimension.items() if dim_records]
     overall = _overall(summaries)
     return records, summaries, overall
 
 
 def _summarize(originals: dict[str, tuple[RankedList, set[str]]], cfg: MetricConfig,
                records: list[EvalRecord], scope: str) -> DimensionSummary:
-    core_ids = sorted({r.core_id for r in records})
+    by_core: dict[str, list[EvalRecord]] = {}
+    for r in records:
+        by_core.setdefault(r.core_id, []).append(r)
 
-    ndcg_ori_by_core: dict[str, float] = {}
-    mrr1_ori_by_core: dict[str, float] = {}
-    for core_id in core_ids:
+    # per core query: its original list's metrics, and the robustness groups
+    # of the instruction variants sharing it; min and fsum ignore their order
+    ndcg_ori, mrr1_ori, ins_groups, rev_groups = [], [], [], []
+    for core_id, group in by_core.items():
         l_ori, rel = originals[core_id]
-        ndcg_ori_by_core[core_id] = ndcg_at_k(l_ori, rel, cfg.k_ndcg)
-        mrr1_ori_by_core[core_id] = mrr_at_1(l_ori, rel)
-
-    # robustness groups: instruction variants sharing a core query
-    ins_groups = [[r.ndcg_ins for r in records if r.core_id == core_id]
-                  for core_id in core_ids]
-    rev_groups = [[r.ndcg_rev for r in records
-                   if r.core_id == core_id and r.ndcg_rev is not None]
-                  for core_id in core_ids]
-    rev_groups = [g for g in rev_groups if g]
+        ndcg_ori.append(ndcg_at_k(l_ori, rel, cfg.k_ndcg))
+        mrr1_ori.append(mrr_at_1(l_ori, rel))
+        ins_groups.append([r.ndcg_ins for r in group])
+        rev = [r.ndcg_rev for r in group if r.ndcg_rev is not None]
+        if rev:
+            rev_groups.append(rev)
 
     wise_act = _mean(r.wise_f for r in records)
     wise_ideal = _mean(r.wise_ideal for r in records)
     return DimensionSummary(
         scope=scope,
-        ndcg_ori=_mean(ndcg_ori_by_core.values()),
+        ndcg_ori=_mean(ndcg_ori),
         ndcg_ins=_mean(r.ndcg_ins for r in records),
         ndcg_rev=_mean_or_none(r.ndcg_rev for r in records),
-        mrr1_ori=_mean(mrr1_ori_by_core.values()),
+        mrr1_ori=_mean(mrr1_ori),
         mrr1_ins=_mean(r.mrr1_ins for r in records),
         mrr1_rev=_mean_or_none(r.mrr1_rev for r in records),
-        robustness_ori=robustness_at_k([[v] for v in ndcg_ori_by_core.values()]),
+        robustness_ori=robustness_at_k([[v] for v in ndcg_ori]),
         robustness_ins=robustness_at_k(ins_groups),
         robustness_rev=robustness_at_k(rev_groups) if rev_groups else None,
         p_mrr=_mean(r.p_mrr for r in records),

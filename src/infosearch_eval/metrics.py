@@ -1,8 +1,6 @@
 """Pure metric kernel: nDCG@k, MRR@1, Robustness@k, p-MRR, SICR and WISE.
 
 No I/O, no shared state; every function is deterministic and re-entrant.
-Absent ranks are resolved by the caller to depth+1 of the corresponding
-list; absent scores resolve to -inf so strict score comparisons fail.
 All values are unscaled (nDCG in [0,1], WISE in [-1,1]); presentation
 scaling happens in the report layer.
 """
@@ -14,8 +12,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .core import RankedList
-
-NEG_INF = float("-inf")
 
 PMRR_AS_PRINTED = "as-printed"
 PMRR_FLIPPED = "flipped"
@@ -38,30 +34,16 @@ class MetricConfig:
 class GoldContext:
     """Per-instructed-query view of the gold document across the three modes.
 
-    Ranks/scores are None when the gold document fell outside the retrieved
-    list for that mode; depths record the list lengths so absent ranks can
-    be resolved to depth+1.
+    Ranks and scores are final: a gold document outside a mode's list has
+    rank depth+1 of that list and score -inf, so strict score comparisons fail.
     """
-    r_ori: Optional[int]
-    r_ins: Optional[int]
-    r_rev: Optional[int]
-    s_ori: Optional[float]
-    s_ins: Optional[float]
-    s_rev: Optional[float]
+    r_ori: int
+    r_ins: int
+    r_rev: int
+    s_ori: float
+    s_ins: float
+    s_rev: float
     n_positives: int
-    depth_ori: int
-    depth_ins: int
-    depth_rev: int
-
-    def resolved_ranks(self) -> tuple[int, int, int]:
-        return (self.r_ori if self.r_ori is not None else self.depth_ori + 1,
-                self.r_ins if self.r_ins is not None else self.depth_ins + 1,
-                self.r_rev if self.r_rev is not None else self.depth_rev + 1)
-
-    def resolved_scores(self) -> tuple[float, float, float]:
-        return (self.s_ori if self.s_ori is not None else NEG_INF,
-                self.s_ins if self.s_ins is not None else NEG_INF,
-                self.s_rev if self.s_rev is not None else NEG_INF)
 
 
 def ndcg_at_k(ranked: RankedList, relevant: set[str], k: int) -> float:
@@ -101,9 +83,8 @@ def p_mrr_doc(r_og: int, r_new: int, sign: str = PMRR_AS_PRINTED) -> float:
 def sicr_indicator(ctx: GoldContext) -> int:
     """Strict compliance: rank and score improve under the instruction and
     degrade under its reversal, all four comparisons strict."""
-    r_ori, r_ins, r_rev = ctx.resolved_ranks()
-    s_ori, s_ins, s_rev = ctx.resolved_scores()
-    ok = (r_ins < r_ori) and (s_ins > s_ori) and (r_ori < r_rev) and (s_ori > s_rev)
+    ok = (ctx.r_ins < ctx.r_ori and ctx.s_ins > ctx.s_ori
+          and ctx.r_ori < ctx.r_rev and ctx.s_ori > ctx.s_rev)
     return 1 if ok else 0
 
 
@@ -134,7 +115,7 @@ def wise_penalty(r_ori: int, r_ins: int, r_rev: int) -> float:
 
 def wise_query(ctx: GoldContext, cfg: MetricConfig) -> float:
     """Per-query WISE value in [-1, 1]."""
-    r_ori, r_ins, r_rev = ctx.resolved_ranks()
+    r_ori, r_ins, r_rev = ctx.r_ori, ctx.r_ins, ctx.r_rev
     if r_ins <= r_ori < r_rev:
         return wise_reward(r_ori, r_ins, ctx.n_positives, cfg.k_wise)
     return wise_penalty(r_ori, r_ins, r_rev)

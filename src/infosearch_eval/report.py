@@ -40,8 +40,6 @@ def _fmt1(value: Optional[float]) -> str:
 
 
 def render(rows: list[ReportRow], fmt: str = "markdown") -> bytes:
-    if not rows:
-        raise ValueError("no rows to render")
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
     header = ["system_id", "scope", *COLUMNS]

@@ -2,6 +2,7 @@ import pytest
 
 from infosearch_eval.core import (CoreQuery, Dataset, Dimension, Document,
                                   InstructedQuery, Mode, RankedList, RunSet)
+from infosearch_eval.harness import build_gold_contexts
 
 
 def make_list(query_key, mode, doc_ids, scores=None):
@@ -56,3 +57,15 @@ def desk_runset(desk_dataset):
         rs.add(make_list(iq.query_id, Mode.INSTRUCTED, [iq.gold_doc_id] + others))
         rs.add(make_list(iq.query_id, Mode.REVERSED, others + [iq.gold_doc_id]))
     return rs
+
+
+def c0_q0_context(dataset, runset, **docs):
+    """The GoldContext build_gold_contexts makes for the desk dataset's c0-q0
+    (gold d0, two positives) once its list in each mode named in docs
+    (original, instructed or reversed) holds those doc_ids, scored 1/rank."""
+    iq = dataset.instructed_queries["c0-q0"]
+    for mode_name, doc_ids in docs.items():
+        mode = Mode(mode_name)
+        key = iq.core_id if mode is Mode.ORIGINAL else iq.query_id
+        runset.lists[key, mode] = make_list(key, mode, doc_ids)
+    return next(c for q, c, _ in build_gold_contexts(dataset, runset) if q is iq)

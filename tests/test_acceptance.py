@@ -95,8 +95,7 @@ def test_criterion_5_case_totality():
                 pen_c = (not reward) and (not pen_a) and (not pen_b) and r_rev <= r_ori
                 assert reward + pen_a + pen_b + pen_c == 1
                 ctx = GoldContext(r_ori=r_ori, r_ins=r_ins, r_rev=r_rev,
-                                  s_ori=0.5, s_ins=0.5, s_rev=0.5, n_positives=1,
-                                  depth_ori=20, depth_ins=20, depth_rev=20)
+                                  s_ori=0.5, s_ins=0.5, s_rev=0.5, n_positives=1)
                 assert -1.0 <= wise_query(ctx, cfg) <= 1.0
     elapsed = time.perf_counter() - t0
     assert elapsed < 1

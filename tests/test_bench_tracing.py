@@ -5,7 +5,8 @@ wrapped name is no longer called reads 0 under ``bench/run.py --trace 1``
 instead of failing.  This runs the traced CLI on a small fixture and requires
 each per-layer metric to be non-zero in the ``evaluate`` or the ``bm25-run``
 trace.  ``bm25-run`` must also send every query through ``bm25.search``, the
-name its per-layer search metrics are recorded under.
+name its per-layer search metrics are recorded under, and ``evaluate`` on one
+system must count one ``EvalRecord`` per instructed query.
 """
 
 import importlib.util
@@ -46,4 +47,6 @@ def test_every_traced_layer_is_reached(tmp_path):
         derived.append(tracing.derive(trace))
     assert [m for m in tracing.LAYER_METRICS if not any(d[m] for d in derived)] == []
     ds = load_dataset(dataset)
+    # one system, so evaluate_system returns one record per instructed query
+    assert derived[0]["harness.evaluate_system.queries"] == len(ds.instructed_queries)
     assert derived[1]["bm25.search.calls"] == len(ds.core_queries) + 2 * len(ds.instructed_queries)

@@ -100,11 +100,21 @@ def test_evaluate_flipped_sign_negates_p_mrr(fixture_dirs, tmp_path):
     assert vals["flipped"] == [-v for v in vals["as-printed"]]
 
 
-def test_evaluate_missing_run_file(fixture_dirs, tmp_path):
+def test_evaluate_missing_run_file(fixture_dirs, tmp_path, capsys):
     dataset_dir, runs_dir = fixture_dirs
-    (runs_dir / "random" / "reversed.run").unlink()
+    missing = runs_dir / "random" / "reversed.run"
+    missing.unlink()
     assert main(["evaluate", str(dataset_dir), str(runs_dir),
                  "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: missing run file: {missing}"]
+
+
+def test_oracle_missing_run_file(fixture_dirs, capsys):
+    dataset_dir, runs_dir = fixture_dirs
+    missing = runs_dir / "random" / "instructed.run"
+    missing.unlink()
+    assert main(["oracle", str(dataset_dir), str(runs_dir / "random")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: missing run file: {missing}"]
 
 
 def test_bm25_run_and_evaluate(fixture_dirs, tmp_path, capsys):

@@ -3,8 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from infosearch_eval.core import (Dimension, Document, InstructedQuery, Mode,
-                                  RankedList, rank_of, score_of,
-                                  validate_dataset)
+                                  RankedList, rank_of, validate_dataset)
 
 from conftest import make_list
 
@@ -20,14 +19,6 @@ def test_rank_of_tie_broken_by_doc_id():
     rl = RankedList("q", Mode.ORIGINAL, [("b", 0.9), ("a", 0.9)])
     assert rank_of(rl, "a") == 1
     assert rank_of(rl, "b") == 2
-
-
-def test_score_of():
-    rl = RankedList("q", Mode.ORIGINAL, [("a", 0.9)])
-    assert score_of(rl, "a") == 0.9
-    assert score_of(rl, "missing") is None
-    neg = RankedList("q", Mode.ORIGINAL, [("a", -0.2)])
-    assert score_of(neg, "a") == -0.2
 
 
 def test_duplicate_doc_rejected():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from infosearch_eval.core import Mode, RunSet
@@ -6,7 +8,7 @@ from infosearch_eval.harness import (build_gold_contexts, evaluate_system,
                                      relevance_sets)
 from infosearch_eval.synth import SynthSpec, gen_synthetic_dataset, gen_synthetic_runs
 
-from conftest import make_list
+from conftest import c0_q0_context, make_list
 
 
 def test_relevance_sets(desk_dataset):
@@ -32,15 +34,21 @@ def test_build_gold_contexts_lookup(desk_dataset, desk_runset):
     assert c.n_positives == 2
 
 
-def test_build_gold_contexts_absent_rank(desk_dataset, desk_runset):
-    iq = desk_dataset.instructed_queries["c0-q0"]
-    short = make_list(iq.query_id, Mode.INSTRUCTED, ["d2", "d3"])
-    desk_runset.lists[(iq.query_id, Mode.INSTRUCTED)] = short
-    contexts = dict((q.query_id, ctx) for q, ctx, _
-                    in build_gold_contexts(desk_dataset, desk_runset))
-    c = contexts["c0-q0"]
-    assert c.r_ins is None and c.depth_ins == 2
-    assert c.resolved_ranks()[1] == 3  # depth + 1
+@pytest.mark.parametrize("docs", [["d2", "d3"], []], ids=["depth-2", "empty"])
+@pytest.mark.parametrize("mode, short", [("original", "ori"), ("instructed", "ins"),
+                                         ("reversed", "rev")],
+                         ids=["original", "instructed", "reversed"])
+def test_build_gold_contexts_absent_rank(desk_dataset, desk_runset, mode, short, docs):
+    # a gold outside the list ranks at depth + 1 with a score below any other
+    c = c0_q0_context(desk_dataset, desk_runset, **{mode: docs})
+    assert (getattr(c, f"r_{short}"), getattr(c, f"s_{short}")) == (len(docs) + 1, -math.inf)
+
+
+def test_build_gold_contexts_negative_score(desk_dataset, desk_runset):
+    desk_runset.lists["c0-q0", Mode.INSTRUCTED] = make_list(
+        "c0-q0", Mode.INSTRUCTED, ["d2", "d0"], [-0.1, -0.2])
+    c = c0_q0_context(desk_dataset, desk_runset)
+    assert (c.r_ins, c.s_ins) == (2, -0.2)
 
 
 def test_missing_list_error(desk_dataset, desk_runset):
@@ -74,7 +82,7 @@ def test_sicr_flag_implies_rank_chain(desk_dataset, desk_runset):
     records, _, _ = evaluate_system(desk_dataset, desk_runset)
     for r in records:
         if r.sicr_i == 1:
-            assert r.r_ins < r.r_ori < r.r_rev
+            assert r.gold.r_ins < r.gold.r_ori < r.gold.r_rev
 
 
 def test_aggregation_permutation_invariant():

@@ -11,17 +11,17 @@ from infosearch_eval.metrics import (PMRR_FLIPPED, GoldContext, MetricConfig,
                                      wise_ideal_query, wise_penalty,
                                      wise_query, wise_reward)
 
-from conftest import make_list
+from conftest import c0_q0_context, make_list
 
 
-def ctx(r_ori, r_ins, r_rev, s_ori=None, s_ins=None, s_rev=None, n=1, depth=100):
-    """Resolved context helper: scores default to 1/rank."""
+def ctx(r_ori, r_ins, r_rev, s_ori=None, s_ins=None, s_rev=None, n=1):
+    """Context helper: scores default to 1/rank."""
     return GoldContext(
         r_ori=r_ori, r_ins=r_ins, r_rev=r_rev,
-        s_ori=s_ori if s_ori is not None else (1.0 / r_ori if r_ori else None),
-        s_ins=s_ins if s_ins is not None else (1.0 / r_ins if r_ins else None),
-        s_rev=s_rev if s_rev is not None else (1.0 / r_rev if r_rev else None),
-        n_positives=n, depth_ori=depth, depth_ins=depth, depth_rev=depth)
+        s_ori=s_ori if s_ori is not None else 1.0 / r_ori,
+        s_ins=s_ins if s_ins is not None else 1.0 / r_ins,
+        s_rev=s_rev if s_rev is not None else 1.0 / r_rev,
+        n_positives=n)
 
 
 # --- nDCG ---
@@ -124,9 +124,14 @@ def test_sicr_strict_score_boundary():
     assert sicr_indicator(c) == 0
 
 
-def test_sicr_absent_scores_fail_strictness():
-    c = GoldContext(r_ori=5, r_ins=2, r_rev=9, s_ori=None, s_ins=None, s_rev=None,
-                    n_positives=1, depth_ori=10, depth_ins=10, depth_rev=10)
+def test_sicr_absent_scores_fail_strictness(desk_dataset, desk_runset):
+    # the gold is in no list: the depth+1 ranks 2 < 5 < 9 improve and degrade,
+    # but the -inf scores are equal, so the strict score comparisons fail
+    others = [f"x{i}" for i in range(8)]
+    c = c0_q0_context(desk_dataset, desk_runset,
+                      original=others[:4], instructed=others[:1], reversed=others)
+    assert (c.r_ori, c.r_ins, c.r_rev) == (5, 2, 9)
+    assert (c.s_ori, c.s_ins, c.s_rev) == (-math.inf,) * 3
     assert sicr_indicator(c) == 0
 
 
@@ -157,9 +162,11 @@ def test_wise_query_boundaries():
     assert wise_query(ctx(1, 1, 2, n=1), MetricConfig()) == 1.0
 
 
-def test_wise_query_absent_reversed():
-    c = GoldContext(r_ori=3, r_ins=1, r_rev=None, s_ori=0.5, s_ins=0.9, s_rev=None,
-                    n_positives=2, depth_ori=100, depth_ins=100, depth_rev=100)
+def test_wise_query_absent_reversed(desk_dataset, desk_runset):
+    others = [f"x{i}" for i in range(100)]
+    c = c0_q0_context(desk_dataset, desk_runset,
+                      original=["x0", "x1", "d0"], instructed=["d0"], reversed=others)
+    assert (c.r_ori, c.r_ins, c.r_rev, c.n_positives) == (3, 1, 101, 2)
     # absent -> r_rev = 101; r_ori=3 > n=2, so the top-K reward branch applies
     assert wise_query(c, MetricConfig()) == pytest.approx((1 - 2 / 20) * 1.0, abs=1e-12)
 
