@@ -100,9 +100,6 @@ class RankedList:
                 and self.mode == other.mode
                 and self.entries == other.entries)
 
-    def __hash__(self):
-        return hash((self.query_key, self.mode, self.entries))
-
     def __repr__(self):
         return f"RankedList({self.query_key!r}, {self.mode.value}, {len(self.entries)} entries)"
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+from operator import itemgetter
 from pathlib import Path
 
 from .core import (CoreQuery, Dataset, Dimension, Document, InstructedQuery,
@@ -119,10 +121,12 @@ def load_run(path: str | Path, mode: Mode, score_from_rank: bool = False) -> Run
     canonical order RankedList makes must be the rank order.  With
     score_from_rank, each score is replaced by 1/rank so that strict score
     comparisons reduce to strict rank comparisons for rank-only systems.
+    A byte-order mark at the start of the file is skipped.
     """
     path = Path(path)
-    per_query: dict[str, list[tuple[int, str, float]]] = {}
-    with path.open(encoding="utf-8") as fh:
+    # per query: the ranks, and the (doc_id, score) entries, in file order
+    per_query: dict[str, tuple[list[int], list[tuple[str, float]]]] = {}
+    with path.open(encoding="utf-8-sig") as fh:
         try:
             for line_no, line in enumerate(fh, start=1):
                 parts = line.split()
@@ -136,22 +140,28 @@ def load_run(path: str | Path, mode: Mode, score_from_rank: bool = False) -> Run
                     score = float(score_s)
                 except ValueError as exc:
                     raise MalformedLine(str(path), line_no, str(exc)) from exc
-                if rank < 1 or not math.isfinite(score):
-                    raise MalformedLine(str(path), line_no, "bad rank or non-finite score")
-                per_query.setdefault(query_key, []).append(
-                    (rank, doc_id, 1.0 / rank if score_from_rank else score))
+                if rank < 1:
+                    raise MalformedLine(str(path), line_no, "rank must be >= 1")
+                if not math.isfinite(score):
+                    raise MalformedLine(str(path), line_no, "non-finite score")
+                rows = per_query.get(query_key)
+                if rows is None:
+                    rows = per_query[query_key] = ([], [])
+                rows[0].append(rank)
+                # a system's lists repeat a few thousand doc_ids: keep one string of each
+                rows[1].append((sys.intern(doc_id), 1.0 / rank if score_from_rank else score))
         except UnicodeDecodeError as exc:
             raise IntegrityViolation(f"{path}: not UTF-8 ({exc.reason})") from exc
 
     runset = RunSet(system_id=path.stem)
-    for query_key, rows in per_query.items():
-        ranked = RankedList(query_key, mode, [(doc_id, score) for _, doc_id, score in rows])
-        by_rank: list[str | None] = [None] * len(rows)
-        for rank, doc_id, _ in rows:
-            if rank > len(rows) or by_rank[rank - 1] is not None:
+    for query_key, (ranks, entries) in per_query.items():
+        ranked = RankedList(query_key, mode, entries)
+        if ranks != list(range(1, len(ranks) + 1)):
+            by_rank = sorted(zip(ranks, entries), key=itemgetter(0))
+            if [rank for rank, _ in by_rank] != list(range(1, len(ranks) + 1)):
                 raise RankGap(query_key)
-            by_rank[rank - 1] = doc_id
-        if [doc_id for doc_id, _ in ranked.entries] != by_rank:
+            entries = [entry for _, entry in by_rank]
+        if ranked.entries != tuple(entries):
             raise ScoreOrderViolation(query_key)
         runset.add(ranked)
     return runset

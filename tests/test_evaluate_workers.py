@@ -3,11 +3,12 @@
 The CPU count is forced by replacing ``os.sched_getaffinity``: one CPU takes
 the plain loop in this process, the reference; two take the forked workers.
 The fixture has three systems, anti, perfect and random in sorted order, and
-each fault goes into perfect, the second.
+each fault, or run-file shape, goes into perfect, the second.
 """
 
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -88,8 +89,8 @@ def _edit(name, edit):
     """Rewrite runs/perfect/<name> as edit(lines) gives it."""
     def prepare(runs_dir):
         path = runs_dir / "perfect" / name
-        lines = path.read_text().splitlines()
-        path.write_text("".join(line + "\n" for line in edit(lines)))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("".join(line + "\n" for line in edit(lines)), encoding="utf-8")
     return prepare
 
 
@@ -116,30 +117,66 @@ def _missing_file(runs_dir):
     (runs_dir / "perfect" / "reversed.run").unlink()
 
 
+def _tie_in_descending_doc_id_order(lines):
+    # rank 1 holds audience-c000-d1 and rank 2 audience-c000-d0: give them one score
+    return _set_column(1, 4, lines[0].split()[4])(lines)
+
+
+PERFECT = "{runs}/perfect/"
+
+
 @needs_fork
-@pytest.mark.parametrize("prepare, code, message", [
+@pytest.mark.parametrize("prepare, code, line", [
     (_edit("instructed.run", lambda lines: lines[:2] + ["garbage"] + lines[3:]), 1,
-     "perfect/instructed.run:3: malformed line"),
+     f"{PERFECT}instructed.run:3: malformed line: expected 6 columns with Q0"),
     (_edit("instructed.run", lambda lines: _set_column(1, 2, lines[0].split()[2])(lines)), 1,
-     "duplicate doc"),
-    (_edit("instructed.run", _set_column(0, 3, "999")), 1, "rank gap"),
-    (_edit("instructed.run", _swap_scores), 1, "score order contradicts rank order"),
-    (_edit("reversed.run", _drop_first_list), 1, "1 missing list(s): reversed"),
-    (_missing_file, 2, "missing run file"),
+     "duplicate doc 'audience-c000-d1' in list for 'audience-c000-q1'"),
+    (_edit("instructed.run", _set_column(0, 3, "999")), 1,
+     "rank gap in list for 'audience-c000-q1'"),
+    (_edit("instructed.run", _swap_scores), 1,
+     "score order contradicts rank order for 'audience-c000-q1'"),
+    (_edit("reversed.run", _drop_first_list), 1, "1 missing list(s): reversed 'audience-c000-q1'"),
+    (_missing_file, 2, f"missing run file: {PERFECT}reversed.run"),
+    (_edit("original.run", lambda lines: ["\ufeff" + lines[0]] + lines[1:]), 0, None),
+    (_edit("instructed.run", lambda lines: ["\t".join(line.split()) for line in lines]), 0, None),
+    (_edit("reversed.run", lambda lines: [line + "\r" for line in lines]), 0, None),
+    (_edit("instructed.run", lambda lines: lines[:1] + lines), 1,
+     "duplicate doc 'audience-c000-d1' in list for 'audience-c000-q1'"),
+    (_edit("instructed.run", _set_column(0, 3, "0")), 1,
+     f"{PERFECT}instructed.run:1: malformed line: rank must be >= 1"),
+    (_edit("instructed.run", _set_column(0, 4, "nan")), 1,
+     f"{PERFECT}instructed.run:1: malformed line: non-finite score"),
+    (_edit("instructed.run", _tie_in_descending_doc_id_order), 1,
+     "score order contradicts rank order for 'audience-c000-q1'"),
 ], ids=["malformed-line", "repeated-doc", "rank-gap", "score-order", "missing-list",
-        "missing-run-file"])
-def test_fault_in_second_system(prepare, code, message, fixture_dirs, tmp_path, monkeypatch,
+        "missing-run-file", "byte-order-mark", "tab-separated", "crlf", "repeated-line",
+        "rank-0", "nan-score", "tie-in-descending-doc-id-order"])
+def test_fault_in_second_system(prepare, code, line, fixture_dirs, tmp_path, monkeypatch,
                                 capsys):
+    """Each fault, or each shape a run file takes, in the second system.
+
+    A shape that is not a fault (code 0) must give the reports of the file
+    as this toolkit writes it.
+    """
+    clean, out = tmp_path / "clean", tmp_path / "out"
+    if code == 0:
+        assert _evaluate(fixture_dirs, clean, 1, monkeypatch, capsys)[0] == 0
     prepare(fixture_dirs[1])
-    out = tmp_path / "out"
     one = _evaluate(fixture_dirs, out, 1, monkeypatch, capsys)
+    if code == 0:
+        assert _tree(out) == _tree(clean)
+        shutil.rmtree(out)
     two = _evaluate(fixture_dirs, out, 2, monkeypatch, capsys)
     assert two == one
     rc, stdout, stderr = two
-    assert rc == code and stdout == ""
-    assert len(stderr.splitlines()) == 1 and stderr.startswith("error: ")
-    assert message in stderr
-    assert not out.exists()
+    assert rc == code
+    if code == 0:
+        assert stderr == "" and stdout == f"wrote 3 system report(s) to {out}\n"
+        assert _tree(out) == _tree(clean)
+    else:
+        assert stdout == ""
+        assert stderr.splitlines() == ["error: " + line.format(runs=fixture_dirs[1])]
+        assert not out.exists()
 
 
 @needs_fork

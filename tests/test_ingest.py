@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from infosearch_eval import ingest
+from infosearch_eval import cli, ingest
 from infosearch_eval.core import Mode, RankedList, RunSet
 from infosearch_eval.errors import (DuplicateDoc, IntegrityViolation,
                                     MalformedLine, RankGap,
@@ -68,6 +68,37 @@ def test_load_run_duplicate_after_a_gap_is_a_duplicate(tmp_path):
     path.write_text("q1 Q0 d1 1 3.0 x\nq1 Q0 d2 3 2.0 x\nq1 Q0 d2 4 1.0 x\n")
     with pytest.raises(DuplicateDoc, match="'d2'"):
         ingest.load_run(path, Mode.ORIGINAL)
+
+
+def _strings_per_doc_id(runsets):
+    """doc_id -> the distinct string objects that hold it across the runsets' entries."""
+    strings = {}
+    for runset in runsets:
+        for ranked in runset.lists.values():
+            for doc_id, _ in ranked.entries:
+                strings.setdefault(doc_id, {})[id(doc_id)] = doc_id
+    return strings
+
+
+def test_load_run_keeps_one_string_per_doc_id(tmp_path):
+    system = tmp_path / "sys"
+    system.mkdir()
+    for mode, fname in cli.MODE_FILES.items():
+        # every list repeats doc-a and doc-b, and q2's lines are out of rank order
+        (system / fname).write_text(f"q1 Q0 doc-a 1 2.0 {mode.value}\n"
+                                    f"q1 Q0 doc-b 2 1.0 {mode.value}\n"
+                                    f"q2 Q0 doc-a 2 1.0 {mode.value}\n"
+                                    f"q2 Q0 doc-c 3 0.5 {mode.value}\n"
+                                    f"q2 Q0 doc-b 1 3.0 {mode.value}\n")
+    one_file = ingest.load_run(system / "original.run", Mode.ORIGINAL)
+    strings = _strings_per_doc_id([one_file])
+    assert {doc_id: len(objs) for doc_id, objs in strings.items()} == {
+        "doc-a": 1, "doc-b": 1, "doc-c": 1}
+    three_files = cli._load_system_runs(system, score_from_rank=False)
+    assert len(three_files.lists) == 6
+    strings = _strings_per_doc_id([three_files])
+    assert {doc_id: len(objs) for doc_id, objs in strings.items()} == {
+        "doc-a": 1, "doc-b": 1, "doc-c": 1}
 
 
 def _reference_lists(per_query, mode, score_from_rank):
