@@ -57,8 +57,6 @@ class Bm25Params:
 class InvertedIndex:
     params: Bm25Params  # the norms below hold only for these
     postings: dict[str, list[tuple[int, int]]]  # term -> [(doc_ordinal, tf)]
-    doc_lengths: list[int]
-    avg_doc_length: float
     doc_count: int
     doc_ids: list[str]
     idf: dict[str, float]
@@ -85,9 +83,8 @@ def build_index(documents: list[Document], params: Bm25Params = Bm25Params()) ->
     k1, b = params.k1, params.b
     # an average of 0 means no document has a term, so no norm is ever read
     norms = [k1 * (1.0 - b + b * dl / avg) for dl in doc_lengths] if avg else [0.0] * n
-    return InvertedIndex(params=params, postings=postings, doc_lengths=doc_lengths,
-                         avg_doc_length=avg, doc_count=n, doc_ids=doc_ids, idf=idf,
-                         norms=norms, by_doc_id=sorted(range(n), key=doc_ids.__getitem__))
+    return InvertedIndex(params=params, postings=postings, doc_count=n, doc_ids=doc_ids,
+                         idf=idf, norms=norms, by_doc_id=sorted(range(n), key=doc_ids.__getitem__))
 
 
 def _accumulate(index: InvertedIndex, terms: list[str],

@@ -2,14 +2,17 @@
 
 Exit codes: 0 success, 1 data problem (violations, missing lists,
 oversize oracle input), 2 usage or environment problem (bad option
-values, I/O, missing paths).  Run directories hold one subdirectory per
-system with three mode files: original.run, instructed.run, reversed.run.
-``evaluate`` loads the dataset once and evaluates the systems in forked
-worker processes, one per CPU in the process's affinity mask and at most one
-per system, so ``taskset`` caps them; with one such CPU, or where ``fork`` is
-not available, it evaluates them one after another in this process.  Reports
-and errors are the same either way: the first faulty system in sorted order
-decides the exit code and the one error line.
+values, I/O, missing paths).  ``main`` turns every failure into its exit
+code and one ``error:`` line on stderr; ``validate`` prints what is wrong
+with a dataset on stdout instead, as its report.  Run directories hold one
+subdirectory per system with three mode files: original.run,
+instructed.run, reversed.run.  ``evaluate`` loads the dataset once and
+evaluates the systems in forked worker processes, one per CPU in the
+process's affinity mask and at most one per system, so ``taskset`` caps
+them; with one such CPU, or where ``fork`` is not available, it evaluates
+them one after another in this process.  Reports and errors are the same
+either way: the first faulty system in sorted order decides the exit code
+and the one error line.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import bm25, ingest, oracle, report, synth
@@ -52,6 +56,12 @@ def _synth_spec(args) -> synth.SynthSpec:
                            corpus_noise_docs=args.noise_docs, run_depth=args.depth)
 
 
+def _require_dirs(*paths: Path) -> None:
+    for path in paths:
+        if not path.is_dir():
+            raise NotADirectoryError(f"no such directory: {path}")
+
+
 def _load_system_runs(system_dir: Path, score_from_rank: bool) -> RunSet:
     runset = RunSet(system_id=system_dir.name)
     for mode, fname in MODE_FILES.items():
@@ -75,20 +85,20 @@ def _write_system_runs(runset: RunSet, out_dir: Path, tag: str) -> None:
 
 
 def cmd_validate(args) -> int:
-    dataset_dir = Path(args.dataset)
-    if not dataset_dir.is_dir():
-        print(f"error: no such directory: {dataset_dir}", file=sys.stderr)
-        return 2
+    _require_dirs(args.dataset)
     try:
-        _, rep = ingest.load_dataset_with_report(dataset_dir)
+        dataset = ingest.load_dataset(args.dataset)
     except InfoSearchError as exc:
         print(f"invalid dataset: {exc}")
         return 1
+    cores, queries, docs = (Counter(r.dimension for r in records.values()) for records in (
+        dataset.core_queries, dataset.instructed_queries, dataset.documents))
+    # the reversed column repeats the instructed one: each instructed query has a reversed text
     print("dimension,core,instructed,reversed,docs")
-    for dim, (c, i, r, d) in rep.counts.items():
-        print(f"{dim.value},{c},{i},{r},{d}")
-    c, i, r, d = rep.totals()
-    print(f"total,{c},{i},{r},{d}")
+    for dim in Dimension:
+        if cores[dim] or queries[dim] or docs[dim]:
+            print(f"{dim.value},{cores[dim]},{queries[dim]},{queries[dim]},{docs[dim]}")
+    print(f"total,{cores.total()},{queries.total()},{queries.total()},{docs.total()}")
     print("OK: 0 violations")
     return 0
 
@@ -151,50 +161,35 @@ def _evaluate_all(dataset: Dataset, system_dirs: list[Path], cfg: MetricConfig,
 
 
 def cmd_evaluate(args) -> int:
-    dataset_dir, runs_dir, out_dir = Path(args.dataset), Path(args.runs), Path(args.out)
-    if not dataset_dir.is_dir() or not runs_dir.is_dir():
-        print("error: dataset or runs directory missing", file=sys.stderr)
-        return 2
-    try:
-        dataset = ingest.load_dataset(dataset_dir)
-        system_dirs = sorted(p for p in runs_dir.iterdir() if p.is_dir())
-        if not system_dirs:
-            print("error: no system subdirectories in runs directory", file=sys.stderr)
-            return 2
-        all_rows = _evaluate_all(dataset, system_dirs, args.settings, args.score_from_rank)
-    except InfoSearchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    _require_dirs(args.dataset, args.runs)
+    dataset = ingest.load_dataset(args.dataset)
+    system_dirs = sorted(p for p in args.runs.iterdir() if p.is_dir())
+    if not system_dirs:
+        raise FileNotFoundError("no system subdirectories in runs directory")
+    all_rows = _evaluate_all(dataset, system_dirs, args.settings, args.score_from_rank)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
     ext = {"markdown": "md", "csv": "csv", "structured": "jsonl"}[args.format]
     leaderboard = []
     for rows in all_rows:
-        (out_dir / f"{rows[0].system_id}.{ext}").write_bytes(report.render(rows, args.format))
+        (args.out / f"{rows[0].system_id}.{ext}").write_bytes(report.render(rows, args.format))
         leaderboard.append(rows[-1])  # the overall row
-    (out_dir / f"leaderboard.{ext}").write_bytes(report.render(leaderboard, args.format))
-    print(f"wrote {len(all_rows)} system report(s) to {out_dir}")
+    (args.out / f"leaderboard.{ext}").write_bytes(report.render(leaderboard, args.format))
+    print(f"wrote {len(all_rows)} system report(s) to {args.out}")
     return 0
 
 
 def cmd_bm25_run(args) -> int:
-    dataset_dir, out_dir = Path(args.dataset), Path(args.out)
-    if not dataset_dir.is_dir():
-        print(f"error: no such directory: {dataset_dir}", file=sys.stderr)
-        return 2
-    try:
-        dataset = ingest.load_dataset(dataset_dir)
-        runset = bm25.run_all_modes(dataset, args.settings, top_k=args.top_k)
-    except InfoSearchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _write_system_runs(runset, out_dir, tag="bm25")
-    print(f"wrote BM25 runs ({len(runset.lists)} lists) to {out_dir}")
+    _require_dirs(args.dataset)
+    dataset = ingest.load_dataset(args.dataset)
+    runset = bm25.run_all_modes(dataset, args.settings, top_k=args.top_k)
+    _write_system_runs(runset, args.out, tag="bm25")
+    print(f"wrote BM25 runs ({len(runset.lists)} lists) to {args.out}")
     return 0
 
 
 def cmd_synth(args) -> int:
-    out_dir, spec = Path(args.out), args.settings
+    out_dir, spec = args.out, args.settings
     dataset = synth.gen_synthetic_dataset(spec)
     ingest.write_dataset(dataset, out_dir / "dataset")
     for behavior in args.behaviors.split(","):
@@ -205,27 +200,17 @@ def cmd_synth(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    dataset_dir, system_dir = Path(args.dataset), Path(args.runs)
-    if not dataset_dir.is_dir() or not system_dir.is_dir():
-        print("error: dataset or runs directory missing", file=sys.stderr)
-        return 2
-    cfg = args.settings
-    try:
-        dataset = ingest.load_dataset(dataset_dir)
-        if len(dataset.instructed_queries) > oracle.MAX_ORACLE_QUERIES:
-            print(f"error: oracle input exceeds {oracle.MAX_ORACLE_QUERIES} queries",
-                  file=sys.stderr)
-            return 1
-        runset = _load_system_runs(system_dir, args.score_from_rank)
-        _, summaries, overall = evaluate_system(dataset, runset, cfg)
-    except InfoSearchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    _require_dirs(args.dataset, args.runs)
+    dataset = ingest.load_dataset(args.dataset)
+    if len(dataset.instructed_queries) > oracle.MAX_ORACLE_QUERIES:
+        raise InfoSearchError(f"oracle input exceeds {oracle.MAX_ORACLE_QUERIES} queries")
+    runset = _load_system_runs(args.runs, args.score_from_rank)
+    _, summaries, overall = evaluate_system(dataset, runset, args.settings)
 
     harness_view = {s.scope: s.as_dict() for s in summaries}
     harness_view["overall"] = overall.as_dict()
     mismatches = oracle.diff_reports(harness_view,
-                                     oracle.oracle_metrics(dataset, runset, cfg))
+                                     oracle.oracle_metrics(dataset, runset, args.settings))
     for line in mismatches:
         print(f"MISMATCH {line}")
     print(f"{len(mismatches)} mismatches")
@@ -244,26 +229,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check dataset integrity and counts")
-    p.add_argument("dataset")
+    p.add_argument("dataset", type=Path)
     p.set_defaults(func=cmd_validate, configure=_config)
 
     p = sub.add_parser("evaluate", help="score one run directory per system")
-    p.add_argument("dataset")
-    p.add_argument("runs")
-    p.add_argument("--out", default="reports")
+    p.add_argument("dataset", type=Path)
+    p.add_argument("runs", type=Path)
+    p.add_argument("--out", type=Path, default="reports")
     p.add_argument("--format", choices=list(report.FORMATS), default="csv")
     p.set_defaults(func=cmd_evaluate, configure=_config)
 
     p = sub.add_parser("bm25-run", help="produce three-mode BM25 run files")
-    p.add_argument("dataset")
-    p.add_argument("--out", default="bm25-runs")
+    p.add_argument("dataset", type=Path)
+    p.add_argument("--out", type=Path, default="bm25-runs")
     p.add_argument("--k1", type=float, default=1.2)
     p.add_argument("--b", type=float, default=0.75)
     p.add_argument("--top-k", type=int, default=100)
     p.set_defaults(func=cmd_bm25_run, configure=_bm25_params)
 
     p = sub.add_parser("synth", help="generate seeded synthetic fixtures")
-    p.add_argument("--out", default="synth-fixtures")
+    p.add_argument("--out", type=Path, default="synth-fixtures")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dims", default="all", help="comma-separated dimension names or 'all'")
     p.add_argument("--cores", type=int, default=2)
@@ -274,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth, configure=_synth_spec)
 
     p = sub.add_parser("oracle", help="diff harness output against the naive oracle")
-    p.add_argument("dataset")
-    p.add_argument("runs", help="one system directory with three mode files")
+    p.add_argument("dataset", type=Path)
+    p.add_argument("runs", type=Path, help="one system directory with three mode files")
     p.set_defaults(func=cmd_oracle, configure=_config)
 
     return parser
@@ -291,9 +276,9 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     try:
         return args.func(args)
-    except OSError as exc:
+    except (InfoSearchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, OSError) else 1
 
 
 if __name__ == "__main__":

@@ -121,26 +121,8 @@ class RunSet:
         return self.lists.get((query_key, mode))
 
 
-@dataclass
-class ValidationReport:
-    violations: list[str]
-    # dimension -> (core, instructed, reversed, docs)
-    counts: dict[Dimension, tuple[int, int, int, int]]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def totals(self) -> tuple[int, int, int, int]:
-        cols = list(zip(*self.counts.values())) or [(), (), (), ()]
-        return tuple(sum(c) for c in cols)  # type: ignore[return-value]
-
-
-def validate_dataset(dataset: Dataset) -> ValidationReport:
-    """Check referential integrity and report per-dimension counts.
-
-    Violations are returned as data, never raised.
-    """
+def validate_dataset(dataset: Dataset) -> list[str]:
+    """The dataset's referential-integrity violations, returned as data, never raised."""
     violations: list[str] = []
 
     for doc in dataset.documents.values():
@@ -173,13 +155,4 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
                 f"instructed query {iq.query_id}: duplicate (core_id, condition) {key}")
         seen_core_condition.add(key)
 
-    counts: dict[Dimension, tuple[int, int, int, int]] = {}
-    for dim in Dimension:
-        n_core = sum(1 for cq in dataset.core_queries.values() if cq.dimension is dim)
-        n_ins = sum(1 for iq in dataset.instructed_queries.values() if iq.dimension is dim)
-        n_docs = sum(1 for d in dataset.documents.values() if d.dimension is dim)
-        if n_core or n_ins or n_docs:
-            # every instructed query carries a reversed variant
-            counts[dim] = (n_core, n_ins, n_ins, n_docs)
-
-    return ValidationReport(violations=violations, counts=counts)
+    return violations

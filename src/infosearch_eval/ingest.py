@@ -1,6 +1,7 @@
 """File I/O: dataset JSONL files and six-column run files.
 
-Dataset directory layout (one JSON object per line, UTF-8):
+Dataset directory layout (one JSON object per line, UTF-8 with a leading
+byte-order mark skipped, every value but positives a string):
     documents*.jsonl           doc_id, text, dimension, condition
     core_queries*.jsonl        core_id, text, dimension, positives
     instructed_queries*.jsonl  query_id, core_id, dimension, condition,
@@ -16,16 +17,17 @@ from __future__ import annotations
 import json
 import math
 import sys
+from dataclasses import fields
 from operator import itemgetter
 from pathlib import Path
 
 from .core import (CoreQuery, Dataset, Dimension, Document, InstructedQuery,
-                   Mode, RankedList, RunSet, ValidationReport, validate_dataset)
+                   Mode, RankedList, RunSet, validate_dataset)
 from .errors import IntegrityViolation, MalformedLine, RankGap, ScoreOrderViolation
 
 
 def _read_jsonl(path: Path):
-    with path.open(encoding="utf-8") as fh:
+    with path.open(encoding="utf-8-sig") as fh:
         try:
             for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -46,9 +48,20 @@ def _files(directory: Path, stem: str) -> list[Path]:
     return hits
 
 
-def load_dataset(directory: str | Path) -> Dataset:
-    """Load and validate a dataset directory; raises on any violation."""
-    return load_dataset_with_report(directory)[0]
+# per record type, its fields annotated str
+_STR_FIELDS = {cls: [f.name for f in fields(cls) if f.type == "str"]
+               for cls in (Document, CoreQuery, InstructedQuery)}
+
+
+def _check_strings(record) -> None:
+    """Raise ValueError naming a field annotated str, or a positive's key, that holds no str."""
+    for key in _STR_FIELDS[type(record)]:
+        if not isinstance(getattr(record, key), str):
+            raise ValueError(f"{key} must be a string")
+    for pair in getattr(record, "positives", ()):
+        for key, value in zip(("doc_id", "condition"), pair):
+            if not isinstance(value, str):
+                raise ValueError(f"{key} must be a string")
 
 
 def _load_records(directory: Path, stem: str, id_field: str, make) -> dict:
@@ -58,6 +71,7 @@ def _load_records(directory: Path, stem: str, id_field: str, make) -> dict:
         for line_no, rec in _read_jsonl(path):
             try:
                 record = make(rec)
+                _check_strings(record)
             except (KeyError, ValueError, TypeError) as exc:  # TypeError: a non-object line
                 raise MalformedLine(str(path), line_no, str(exc)) from exc
             key = getattr(record, id_field)
@@ -67,8 +81,8 @@ def _load_records(directory: Path, stem: str, id_field: str, make) -> dict:
     return records
 
 
-def load_dataset_with_report(directory: str | Path) -> tuple[Dataset, ValidationReport]:
-    """load_dataset, also handing back the report of its one validation."""
+def load_dataset(directory: str | Path) -> Dataset:
+    """Load and validate a dataset directory; raises on any violation."""
     directory = Path(directory)
     dataset = Dataset(
         documents=_load_records(directory, "documents", "doc_id", lambda r: Document(
@@ -83,10 +97,10 @@ def load_dataset_with_report(directory: str | Path) -> tuple[Dataset, Validation
                 dimension=Dimension(r["dimension"]), condition=r["condition"],
                 instructed_text=r["instructed_text"], reversed_text=r["reversed_text"],
                 gold_doc_id=r["gold_doc_id"])))
-    report = validate_dataset(dataset)
-    if not report.ok:
-        raise IntegrityViolation("; ".join(report.violations))
-    return dataset, report
+    violations = validate_dataset(dataset)
+    if violations:
+        raise IntegrityViolation("; ".join(violations))
+    return dataset
 
 
 def write_dataset(dataset: Dataset, directory: str | Path) -> None:

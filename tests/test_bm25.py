@@ -72,7 +72,7 @@ def test_tokenize_matches_character_loop_on_every_code_point():
 def test_build_index_single_doc():
     idx = build_index([doc("d0", "a a b")])
     assert idx.postings == {"a": [(0, 2)], "b": [(0, 1)]}
-    assert idx.avg_doc_length == 3.0
+    assert idx.norms == [1.2]  # k1 * (1 - b + b * 3 / 3)
     assert idx.doc_count == 1
 
 
@@ -203,7 +203,7 @@ def test_index_deterministic():
     rng = random.Random(5)
     docs = random_corpus(rng)
     a, b = build_index(docs), build_index(docs)
-    assert a.postings == b.postings and a.doc_lengths == b.doc_lengths
+    assert a.postings == b.postings and a.norms == b.norms
 
 
 def test_run_all_modes_counts(desk_dataset):

@@ -56,8 +56,26 @@ def test_validate_broken_reference(fixture_dirs, capsys):
     assert "gold" in capsys.readouterr().out
 
 
-def test_validate_missing_directory(tmp_path):
-    assert main(["validate", str(tmp_path / "nope")]) == 2
+@pytest.mark.parametrize("argv, line", [
+    (["validate", "{nope}"], "no such directory: {nope}"),
+    (["evaluate", "{nope}", "{runs}"], "no such directory: {nope}"),
+    (["evaluate", "{dataset}", "{nope}"], "no such directory: {nope}"),
+    (["bm25-run", "{nope}"], "no such directory: {nope}"),
+    (["oracle", "{nope}", "{runs}/random"], "no such directory: {nope}"),
+    (["oracle", "{dataset}", "{nope}"], "no such directory: {nope}"),
+    (["evaluate", "{dataset}", "{empty}"], "no system subdirectories in runs directory"),
+], ids=["validate", "evaluate-dataset", "evaluate-runs", "bm25-run", "oracle-dataset",
+        "oracle-runs", "evaluate-empty-runs"])
+def test_validate_missing_directory(argv, line, fixture_dirs, tmp_path, capsys):
+    dataset_dir, runs_dir = fixture_dirs
+    (tmp_path / "empty").mkdir()
+    paths = dict(dataset=dataset_dir, runs=runs_dir, nope=tmp_path / "nope",
+                 empty=tmp_path / "empty")
+    capsys.readouterr()
+    assert main([a.format(**paths) for a in argv]) == 2
+    out = capsys.readouterr()
+    assert out.err.splitlines() == ["error: " + line.format(**paths)]
+    assert out.out == ""
 
 
 def test_evaluate_writes_reports(fixture_dirs, tmp_path):
@@ -181,6 +199,36 @@ def _append(name, line):
     return prepare
 
 
+def _non_string_text(dataset_dir, runs_dir):
+    path = dataset_dir / "documents.jsonl"
+    first, *rest = path.read_text().splitlines(keepends=True)
+    path.write_text(json.dumps({**json.loads(first), "text": 123}) + "\n" + "".join(rest))
+
+
+def _numeric_doc_ids(dataset_dir, runs_dir):
+    # every doc_id of the dataset a JSON number, consistently; the runs keep strings
+    numbers = {}
+
+    def rewrite(name, change):
+        path = dataset_dir / f"{name}.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        for rec in records:
+            change(rec)
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+
+    def number(rec, key="doc_id"):
+        rec[key] = numbers.setdefault(rec[key], len(numbers))
+
+    rewrite("documents", number)
+    rewrite("core_queries", lambda rec: [number(p) for p in rec["positives"]])
+    rewrite("instructed_queries", lambda rec: number(rec, "gold_doc_id"))
+
+
+def _bom(dataset_dir, runs_dir):
+    path = dataset_dir / "documents.jsonl"
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+
+
 def _blank(*names):
     def prepare(dataset_dir, runs_dir):
         for name in names:
@@ -203,15 +251,21 @@ def _blank(*names):
     (["evaluate", "{dataset}", "{runs}"], _blank("instructed_queries"), 1),
     (["evaluate", "{dataset}", "{runs}"], _append("documents", "[1, 2]"), 1),
     (["evaluate", "{dataset}", "{runs}"], _append("instructed_queries", '"x"'), 1),
+    (["bm25-run", "{dataset}"], _non_string_text, 1),
+    (["evaluate", "{dataset}", "{runs}"], _numeric_doc_ids, 1),
+    (["validate", "{dataset}"], _bom, 0),
 ], ids=["k", "wise-k", "synth-depth", "synth-dims", "synth-behaviors", "bm25-k1",
         "bm25-top-k-0", "bm25-top-k-negative", "run-not-utf8", "bm25-no-documents",
-        "evaluate-no-instructed", "document-not-object", "instructed-not-object"])
+        "evaluate-no-instructed", "document-not-object", "instructed-not-object",
+        "bm25-non-string-text", "evaluate-numeric-doc-ids", "validate-dataset-bom"])
 def test_bad_input_exits_with_one_line(argv, prepare, code, fixture_dirs, tmp_path, capsys):
     dataset_dir, runs_dir = fixture_dirs
     if prepare:
         prepare(dataset_dir, runs_dir)
     out = tmp_path / "out"
-    argv = [a.format(dataset=dataset_dir, runs=runs_dir) for a in argv] + ["--out", str(out)]
+    argv = [a.format(dataset=dataset_dir, runs=runs_dir) for a in argv]
+    if "validate" not in argv:  # every other command here writes files
+        argv += ["--out", str(out)]
     capsys.readouterr()
     try:
         rc = main(argv)
@@ -219,7 +273,10 @@ def test_bad_input_exits_with_one_line(argv, prepare, code, fixture_dirs, tmp_pa
         rc = exc.code
     assert rc == code
     err = capsys.readouterr().err.splitlines()
-    assert "error: " in err[-1]
+    if code == 0:
+        assert err == []
+    else:
+        assert "error: " in err[-1]
     if code == 1:
         assert len(err) == 1
     assert not out.exists()  # nothing written, not even the first behaviour

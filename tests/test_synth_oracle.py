@@ -30,7 +30,7 @@ def test_dataset_counts():
     assert len(ds.core_queries) == 2
     assert len(ds.instructed_queries) == 6
     assert len(ds.documents) >= 6
-    assert validate_dataset(ds).ok
+    assert validate_dataset(ds) == []
 
 
 def test_dataset_determinism(tmp_path):
@@ -139,7 +139,7 @@ def test_differential_on_cut_tied_single_positive_runs():
     def check(spec, behavior, cfg, rng):
         ds = gen_synthetic_dataset(spec)
         ds, runs, reference = _like_real_runs(ds, gen_synthetic_runs(ds, spec, behavior), rng)
-        assert validate_dataset(ds).ok
+        assert validate_dataset(ds) == []
         assert diff_reports(harness_view(ds, runs, cfg), oracle_metrics(ds, reference, cfg)) == []
         for iq in ds.instructed_queries.values():
             lists = [reference.lists[key].entries for key in (
