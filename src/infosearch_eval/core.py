@@ -4,13 +4,15 @@ All types are treated as immutable after construction, so ``evaluate``
 shares one loaded dataset with the worker processes it forks, which only
 read it.  Ranked lists are kept in canonical form: non-increasing by score
 with ties broken by ascending doc_id, which makes every downstream metric
-reproducible bit-for-bit.
+reproducible bit-for-bit.  A list holds no per-entry index: ``rank_of``
+scans its entries, once per gold and list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import indexOf, itemgetter
 from typing import Optional
 
 from .errors import DuplicateDoc
@@ -76,15 +78,12 @@ class RankedList:
     DuplicateDoc, naming the first repeat in canonical order.
     """
 
-    __slots__ = ("query_key", "mode", "entries", "_positions")
-
     def __init__(self, query_key: str, mode: Mode,
                  entries: list[tuple[str, float]] | tuple[tuple[str, float], ...]):
         self.query_key = query_key
         self.mode = mode
         self.entries = tuple(sorted(entries, key=lambda e: (-e[1], e[0])))
-        self._positions = {doc_id: i + 1 for i, (doc_id, _) in enumerate(self.entries)}
-        if len(self._positions) != len(self.entries):
+        if len(set(map(itemgetter(0), self.entries))) != len(self.entries):
             seen = set()
             for doc_id, _ in self.entries:
                 if doc_id in seen:
@@ -106,7 +105,10 @@ class RankedList:
 
 def rank_of(ranked: RankedList, doc_id: str) -> Optional[int]:
     """1-based rank of doc_id in the canonical list; None when absent."""
-    return ranked._positions.get(doc_id)
+    try:
+        return indexOf(map(itemgetter(0), ranked.entries), doc_id) + 1
+    except ValueError:
+        return None
 
 
 @dataclass

@@ -44,9 +44,12 @@ class RankGap(InfoSearchError):
 
 
 class ScoreOrderViolation(InfoSearchError):
-    def __init__(self, query_key: str):
+    def __init__(self, query_key: str, rank: int):
         self.query_key = query_key
-        super().__init__(f"score order contradicts rank order for {query_key!r}")
+        self.rank = rank  # the first rank whose doc differs from the score order's
+        super().__init__(
+            f"score order contradicts rank order for {query_key!r} at rank {rank} (tied"
+            " scores rank by ascending doc_id; --score-from-rank uses the ranks alone)")
 
 
 # --- harness ---

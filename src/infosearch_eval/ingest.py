@@ -53,15 +53,26 @@ _STR_FIELDS = {cls: [f.name for f in fields(cls) if f.type == "str"]
                for cls in (Document, CoreQuery, InstructedQuery)}
 
 
+# fields a run file names in a whitespace-separated column
+_ID_FIELDS = frozenset(("doc_id", "core_id", "query_id", "gold_doc_id"))
+
+
 def _check_strings(record) -> None:
-    """Raise ValueError naming a field annotated str, or a positive's key, that holds no str."""
+    """Raise ValueError naming a field annotated str, or a positive's key, that
+    holds no str, or an id that a run-file column could not hold."""
     for key in _STR_FIELDS[type(record)]:
-        if not isinstance(getattr(record, key), str):
+        value = getattr(record, key)
+        if not isinstance(value, str):
             raise ValueError(f"{key} must be a string")
-    for pair in getattr(record, "positives", ()):
-        for key, value in zip(("doc_id", "condition"), pair):
-            if not isinstance(value, str):
-                raise ValueError(f"{key} must be a string")
+        if key in _ID_FIELDS and value.split() != [value]:
+            raise ValueError(f"{key} must be one token with no whitespace")
+    for doc_id, condition in getattr(record, "positives", ()):
+        if not isinstance(doc_id, str):
+            raise ValueError("doc_id must be a string")
+        if doc_id.split() != [doc_id]:
+            raise ValueError("doc_id must be one token with no whitespace")
+        if not isinstance(condition, str):
+            raise ValueError("condition must be a string")
 
 
 def _load_records(directory: Path, stem: str, id_field: str, make) -> dict:
@@ -176,7 +187,9 @@ def load_run(path: str | Path, mode: Mode, score_from_rank: bool = False) -> Run
                 raise RankGap(query_key)
             entries = [entry for _, entry in by_rank]
         if ranked.entries != tuple(entries):
-            raise ScoreOrderViolation(query_key)
+            raise ScoreOrderViolation(query_key, next(
+                rank for rank, (got, want) in enumerate(zip(entries, ranked.entries), start=1)
+                if got != want))
         runset.add(ranked)
     return runset
 

@@ -205,23 +205,31 @@ def _non_string_text(dataset_dir, runs_dir):
     path.write_text(json.dumps({**json.loads(first), "text": 123}) + "\n" + "".join(rest))
 
 
-def _numeric_doc_ids(dataset_dir, runs_dir):
-    # every doc_id of the dataset a JSON number, consistently; the runs keep strings
-    numbers = {}
-
-    def rewrite(name, change):
+def _rewrite_doc_ids(dataset_dir, change):
+    """Pass every doc_id of the dataset through change, consistently; the runs keep theirs."""
+    def rewrite(name, edit):
         path = dataset_dir / f"{name}.jsonl"
         records = [json.loads(line) for line in path.read_text().splitlines()]
         for rec in records:
-            change(rec)
+            edit(rec)
         path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
 
-    def number(rec, key="doc_id"):
-        rec[key] = numbers.setdefault(rec[key], len(numbers))
+    def doc_id(rec, key="doc_id"):
+        rec[key] = change(rec[key])
 
-    rewrite("documents", number)
-    rewrite("core_queries", lambda rec: [number(p) for p in rec["positives"]])
-    rewrite("instructed_queries", lambda rec: number(rec, "gold_doc_id"))
+    rewrite("documents", doc_id)
+    rewrite("core_queries", lambda rec: [doc_id(p) for p in rec["positives"]])
+    rewrite("instructed_queries", lambda rec: doc_id(rec, "gold_doc_id"))
+
+
+def _numeric_doc_ids(dataset_dir, runs_dir):
+    numbers = {}
+    _rewrite_doc_ids(dataset_dir, lambda doc_id: numbers.setdefault(doc_id, len(numbers)))
+
+
+def _spaced_doc_ids(dataset_dir, runs_dir):
+    # 'audience-c000-d1' becomes 'audience-c000 d1', which a run-file column cannot hold
+    _rewrite_doc_ids(dataset_dir, lambda doc_id: doc_id.replace("-d", " d"))
 
 
 def _bom(dataset_dir, runs_dir):
@@ -254,10 +262,14 @@ def _blank(*names):
     (["bm25-run", "{dataset}"], _non_string_text, 1),
     (["evaluate", "{dataset}", "{runs}"], _numeric_doc_ids, 1),
     (["validate", "{dataset}"], _bom, 0),
+    (["validate", "{dataset}"], _spaced_doc_ids, 1),
+    (["bm25-run", "{dataset}"], _spaced_doc_ids, 1),
+    (["evaluate", "{dataset}", "{runs}"], _spaced_doc_ids, 1),
 ], ids=["k", "wise-k", "synth-depth", "synth-dims", "synth-behaviors", "bm25-k1",
         "bm25-top-k-0", "bm25-top-k-negative", "run-not-utf8", "bm25-no-documents",
         "evaluate-no-instructed", "document-not-object", "instructed-not-object",
-        "bm25-non-string-text", "evaluate-numeric-doc-ids", "validate-dataset-bom"])
+        "bm25-non-string-text", "evaluate-numeric-doc-ids", "validate-dataset-bom",
+        "validate-spaced-doc-ids", "bm25-spaced-doc-ids", "evaluate-spaced-doc-ids"])
 def test_bad_input_exits_with_one_line(argv, prepare, code, fixture_dirs, tmp_path, capsys):
     dataset_dir, runs_dir = fixture_dirs
     if prepare:
@@ -272,13 +284,18 @@ def test_bad_input_exits_with_one_line(argv, prepare, code, fixture_dirs, tmp_pa
     except SystemExit as exc:  # argparse usage errors
         rc = exc.code
     assert rc == code
-    err = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
     if code == 0:
         assert err == []
+    elif code == 1 and "validate" in argv:  # validate reports a faulty dataset on stdout
+        assert err == []
+        assert len(captured.out.splitlines()) == 1
+        assert captured.out.startswith("invalid dataset: ")
     else:
         assert "error: " in err[-1]
-    if code == 1:
-        assert len(err) == 1
+        if code == 1:
+            assert len(err) == 1
     assert not out.exists()  # nothing written, not even the first behaviour
 
 

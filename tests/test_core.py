@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from infosearch_eval.core import (Dimension, Document, InstructedQuery, Mode,
                                   RankedList, rank_of, validate_dataset)
+from infosearch_eval.errors import DuplicateDoc
 
 from conftest import make_list
 
@@ -26,6 +27,20 @@ def test_duplicate_doc_rejected():
         RankedList("q", Mode.ORIGINAL, [("a", 0.9), ("a", 0.5)])
 
 
+def test_duplicate_doc_names_the_first_repeat_in_canonical_order():
+    # in input order b repeats first; in canonical order (b, a, a, b) a does
+    with pytest.raises(DuplicateDoc) as got:
+        RankedList("q", Mode.ORIGINAL, [("b", 1.0), ("a", 0.5), ("b", 0.2), ("a", 0.9)])
+    assert got.value.doc_id == "a"
+    assert str(got.value) == "duplicate doc 'a' in list for 'q'"
+
+
+def test_ranked_list_keeps_no_per_entry_index():
+    # rank_of scans the entries: a map per list would cost memory on every entry
+    rl = RankedList("q", Mode.ORIGINAL, [("b", 0.9), ("a", 0.9), ("c", 0.1)])
+    assert set(vars(rl)) == {"query_key", "mode", "entries"}
+
+
 entries_st = st.lists(
     st.tuples(st.integers(0, 30).map(lambda i: f"d{i:02d}"),
               st.floats(-10, 10, allow_nan=False)),
@@ -44,6 +59,21 @@ def test_rank_of_is_bijection(entries):
     rl = RankedList("q", Mode.ORIGINAL, entries)
     ranks = [rank_of(rl, doc_id) for doc_id, _ in rl.entries]
     assert sorted(ranks) == list(range(1, len(rl.entries) + 1))
+
+
+@given(st.lists(st.tuples(st.integers(0, 30).map(lambda i: f"d{i:02d}"),
+                          st.sampled_from([-1.0, 0.0, 0.5, 2.0])),
+                unique_by=lambda e: e[0], max_size=30),
+       st.integers(0, 30).map(lambda i: f"d{i:02d}"))
+def test_rank_of_is_the_canonical_position_on_tied_lists(entries, probe):
+    rl = RankedList("q", Mode.ORIGINAL, entries)
+    for doc_id, score in entries:
+        # canonical position: one plus the entries with a higher score, or an equal
+        # score and a smaller doc_id
+        ahead = sum(1 for d, s in entries if s > score or (s == score and d < doc_id))
+        assert rank_of(rl, doc_id) == ahead + 1
+    if probe not in dict(entries):
+        assert rank_of(rl, probe) is None
 
 
 def test_validate_desk_dataset(desk_dataset):

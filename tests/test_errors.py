@@ -11,7 +11,7 @@ EXAMPLES = {
     errors.IntegrityViolation: ("duplicate doc_id 'd1'",),
     errors.DuplicateDoc: ("c0-q1", "d7"),
     errors.RankGap: ("c0-q1",),
-    errors.ScoreOrderViolation: ("c0-q1",),
+    errors.ScoreOrderViolation: ("c0-q1", 2),
     errors.EmptyInput: ("dataset has no instructed queries",),
     errors.MissingList: ([("c0", "original"), ("c1-q0", "reversed")],),
     errors.EmptyCorpus: ("no documents to index",),

@@ -123,6 +123,9 @@ def _tie_in_descending_doc_id_order(lines):
 
 
 PERFECT = "{runs}/perfect/"
+SCORE_ORDER_AT_RANK_1 = (
+    "score order contradicts rank order for 'audience-c000-q1' at rank 1 (tied scores rank"
+    " by ascending doc_id; --score-from-rank uses the ranks alone)")
 
 
 @needs_fork
@@ -134,7 +137,7 @@ PERFECT = "{runs}/perfect/"
     (_edit("instructed.run", _set_column(0, 3, "999")), 1,
      "rank gap in list for 'audience-c000-q1'"),
     (_edit("instructed.run", _swap_scores), 1,
-     "score order contradicts rank order for 'audience-c000-q1'"),
+     SCORE_ORDER_AT_RANK_1),
     (_edit("reversed.run", _drop_first_list), 1, "1 missing list(s): reversed 'audience-c000-q1'"),
     (_missing_file, 2, f"missing run file: {PERFECT}reversed.run"),
     (_edit("original.run", lambda lines: ["\ufeff" + lines[0]] + lines[1:]), 0, None),
@@ -147,7 +150,7 @@ PERFECT = "{runs}/perfect/"
     (_edit("instructed.run", _set_column(0, 4, "nan")), 1,
      f"{PERFECT}instructed.run:1: malformed line: non-finite score"),
     (_edit("instructed.run", _tie_in_descending_doc_id_order), 1,
-     "score order contradicts rank order for 'audience-c000-q1'"),
+     SCORE_ORDER_AT_RANK_1),
 ], ids=["malformed-line", "repeated-doc", "rank-gap", "score-order", "missing-list",
         "missing-run-file", "byte-order-mark", "tab-separated", "crlf", "repeated-line",
         "rank-0", "nan-score", "tie-in-descending-doc-id-order"])

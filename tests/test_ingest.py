@@ -53,6 +53,13 @@ def test_load_run_score_order_contradiction(tmp_path):
         ingest.load_run(path, Mode.ORIGINAL)
 
 
+def test_score_order_violation_names_the_first_rank_out_of_order(tmp_path):
+    path = tmp_path / "a.run"
+    path.write_text("q1 Q0 d0 3 5.0 x\nq1 Q0 d1 1 9.0 x\nq1 Q0 d2 2 1.0 x\n")
+    with pytest.raises(ScoreOrderViolation, match="'q1' at rank 2 .*--score-from-rank"):
+        ingest.load_run(path, Mode.ORIGINAL)
+
+
 def test_load_run_tie_in_descending_doc_id_order(tmp_path):
     # equal scores must be ranked by ascending doc_id
     path = tmp_path / "a.run"
@@ -118,8 +125,9 @@ def _reference_lists(per_query, mode, score_from_rank):
         else:
             entries = [(doc_id, score) for _, doc_id, score in rows]
         ranked = RankedList(query_key, mode, entries)
-        if [doc_id for doc_id, _ in ranked.entries] != [doc_id for doc_id, _ in entries]:
-            raise ScoreOrderViolation(query_key)
+        for rank, ((want, _), (got, _)) in enumerate(zip(ranked.entries, entries), start=1):
+            if got != want:
+                raise ScoreOrderViolation(query_key, rank)
         lists[(query_key, mode)] = ranked
     return lists
 
@@ -247,3 +255,36 @@ def test_load_dataset_accepts_per_dimension_files(tmp_path, desk_dataset):
     (tmp_path / "documents_b.jsonl").write_text("\n".join(lines[4:]) + "\n")
     loaded = ingest.load_dataset(tmp_path)
     assert len(loaded.documents) == 8
+
+
+def _set(key, value):
+    return lambda rec: rec.update({key: value})
+
+
+def _set_first_positive(value):
+    return lambda rec: rec["positives"][0].update(doc_id=value)
+
+
+@pytest.mark.parametrize("stem, edit, key", [
+    ("documents", _set("doc_id", "d 0"), "doc_id"),
+    ("documents", _set("doc_id", ""), "doc_id"),
+    ("core_queries", _set("core_id", "c0\t"), "core_id"),
+    ("core_queries", _set_first_positive("d0\u00a0x"), "doc_id"),
+    ("instructed_queries", _set("query_id", "c0 q0"), "query_id"),
+    ("instructed_queries", _set("core_id", ""), "core_id"),
+    ("instructed_queries", _set("gold_doc_id", "d0\n"), "gold_doc_id"),
+], ids=["doc-id-space", "doc-id-empty", "core-id-tab", "positive-no-break-space",
+        "query-id-space", "instructed-core-id-empty", "gold-newline"])
+def test_load_dataset_rejects_an_id_no_run_file_can_carry(tmp_path, desk_dataset, stem,
+                                                          edit, key):
+    # a run file splits its columns on whitespace, so such an id could never match
+    ingest.write_dataset(desk_dataset, tmp_path)
+    path = tmp_path / f"{stem}.jsonl"
+    first, *rest = path.read_text().splitlines(keepends=True)
+    rec = json.loads(first)
+    edit(rec)
+    path.write_text(json.dumps(rec) + "\n" + "".join(rest))
+    with pytest.raises(MalformedLine) as got:
+        ingest.load_dataset(tmp_path)
+    assert str(got.value) == (
+        f"{path}:1: malformed line: {key} must be one token with no whitespace")
