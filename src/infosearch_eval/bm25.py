@@ -49,8 +49,9 @@ class Bm25Params:
     b: float = 0.75
 
     def __post_init__(self):
-        if self.k1 < 0 or not (0.0 <= self.b <= 1.0):
-            raise ValueError("require k1 >= 0 and 0 <= b <= 1")
+        # chained comparisons are False for NaN, so NaN fails both
+        if not (0.0 <= self.k1 < math.inf and 0.0 <= self.b <= 1.0):
+            raise ValueError("require 0 <= k1 < inf and 0 <= b <= 1")
 
 
 @dataclass

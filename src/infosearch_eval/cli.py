@@ -26,7 +26,7 @@ from pathlib import Path
 from . import bm25, ingest, oracle, report, synth
 from .core import Dataset, Dimension, Mode, RunSet
 from .errors import InfoSearchError
-from .harness import evaluate_system
+from .harness import DimensionSummary, evaluate_system
 from .metrics import PMRR_AS_PRINTED, PMRR_FLIPPED, MetricConfig
 
 MODE_FILES = {Mode.ORIGINAL: "original.run",
@@ -104,12 +104,8 @@ def cmd_validate(args) -> int:
 
 
 def _evaluate_one(dataset: Dataset, system_dir: Path, cfg: MetricConfig,
-                  score_from_rank: bool):
-    runset = _load_system_runs(system_dir, score_from_rank)
-    _, summaries, overall = evaluate_system(dataset, runset, cfg)
-    rows = [report.row_from_summary(runset.system_id, s) for s in summaries]
-    rows.append(report.row_from_summary(runset.system_id, overall))
-    return rows
+                  score_from_rank: bool) -> list[DimensionSummary]:
+    return evaluate_system(dataset, _load_system_runs(system_dir, score_from_rank), cfg)[1]
 
 
 def _cpu_count() -> int:
@@ -135,8 +131,8 @@ def _evaluate_in_worker(system_dir: Path):
 
 
 def _evaluate_all(dataset: Dataset, system_dirs: list[Path], cfg: MetricConfig,
-                  score_from_rank: bool) -> list[list]:
-    """The report rows of each system, in the order of system_dirs.
+                  score_from_rank: bool) -> list[list[DimensionSummary]]:
+    """The result rows of each system, in the order of system_dirs.
 
     Raises what evaluating the first faulty system raises, and
     ChildProcessError when a worker process dies.
@@ -166,14 +162,17 @@ def cmd_evaluate(args) -> int:
     system_dirs = sorted(p for p in args.runs.iterdir() if p.is_dir())
     if not system_dirs:
         raise FileNotFoundError("no system subdirectories in runs directory")
+    if args.runs / "leaderboard" in system_dirs:  # its report would be the leaderboard's file
+        raise FileExistsError("system directory name reserved for the leaderboard: "
+                              f"{args.runs / 'leaderboard'}")
     all_rows = _evaluate_all(dataset, system_dirs, args.settings, args.score_from_rank)
 
     args.out.mkdir(parents=True, exist_ok=True)
-    ext = {"markdown": "md", "csv": "csv", "structured": "jsonl"}[args.format]
-    leaderboard = []
-    for rows in all_rows:
-        (args.out / f"{rows[0].system_id}.{ext}").write_bytes(report.render(rows, args.format))
-        leaderboard.append(rows[-1])  # the overall row
+    ext = report.FORMATS[args.format]
+    for d, rows in zip(system_dirs, all_rows):
+        (args.out / f"{d.name}.{ext}").write_bytes(
+            report.render([(d.name, row) for row in rows], args.format))
+    leaderboard = [(d.name, rows[-1]) for d, rows in zip(system_dirs, all_rows)]  # overall rows
     (args.out / f"leaderboard.{ext}").write_bytes(report.render(leaderboard, args.format))
     print(f"wrote {len(all_rows)} system report(s) to {args.out}")
     return 0
@@ -205,10 +204,8 @@ def cmd_oracle(args) -> int:
     if len(dataset.instructed_queries) > oracle.MAX_ORACLE_QUERIES:
         raise InfoSearchError(f"oracle input exceeds {oracle.MAX_ORACLE_QUERIES} queries")
     runset = _load_system_runs(args.runs, args.score_from_rank)
-    _, summaries, overall = evaluate_system(dataset, runset, args.settings)
-
-    harness_view = {s.scope: s.as_dict() for s in summaries}
-    harness_view["overall"] = overall.as_dict()
+    harness_view = {row.scope: row.as_dict()
+                    for row in evaluate_system(dataset, runset, args.settings)[1]}
     mismatches = oracle.diff_reports(harness_view,
                                      oracle.oracle_metrics(dataset, runset, args.settings))
     for line in mismatches:

@@ -121,8 +121,9 @@ def _mean_or_none(values) -> Optional[float]:
 
 
 def evaluate_system(dataset: Dataset, runset: RunSet, cfg: MetricConfig = MetricConfig()
-                    ) -> tuple[list[EvalRecord], list[DimensionSummary], DimensionSummary]:
-    """Full evaluation: per-query records, per-dimension rows, overall row."""
+                    ) -> tuple[list[EvalRecord], list[DimensionSummary]]:
+    """Full evaluation: the per-query records, and the per-dimension rows in
+    Dimension order followed by the overall row."""
     if not dataset.instructed_queries:
         raise EmptyInput("dataset has no instructed queries")
     records: list[EvalRecord] = []
@@ -146,10 +147,10 @@ def evaluate_system(dataset: Dataset, runset: RunSet, cfg: MetricConfig = Metric
         records.append(record)
         by_dimension[iq.dimension].append(record)
 
-    summaries = [_summarize(originals, cfg, dim_records, dim.value)
-                 for dim, dim_records in by_dimension.items() if dim_records]
-    overall = _overall(summaries)
-    return records, summaries, overall
+    rows = [_summarize(originals, cfg, dim_records, dim.value)
+            for dim, dim_records in by_dimension.items() if dim_records]
+    rows.append(_overall(rows))
+    return records, rows
 
 
 def _summarize(originals: dict[str, tuple[RankedList, set[str]]], cfg: MetricConfig,

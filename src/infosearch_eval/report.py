@@ -9,28 +9,23 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import asdict, make_dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Optional
 
 from .harness import METRICS, DimensionSummary
 from .metrics import wise_per
 
-COLUMNS = METRICS
-
-FORMATS = ("markdown", "csv", "structured")
-
-ReportRow = make_dataclass(
-    "ReportRow",
-    [("system_id", str), ("scope", str), *((name, Optional[float]) for name in COLUMNS)],
-    namespace={"__module__": __name__})
+# format name -> report file extension
+FORMATS = {"markdown": "md", "csv": "csv", "structured": "jsonl"}
 
 
-def row_from_summary(system_id: str, summary: DimensionSummary) -> ReportRow:
-    scaled = {k: (None if v is None else v * 100.0) for k, v in summary.as_dict().items()}
-    # from the scaled values, not 100 * summary.per, which differs in the last bit
-    scaled["per"] = wise_per(scaled["wise_act"], scaled["wise_ideal"], 100.0)
-    return ReportRow(system_id=system_id, scope=summary.scope, **scaled)
+def _record(system_id: str, row: DimensionSummary) -> dict:
+    """One report line: system_id, scope, then the metrics x100 in column order."""
+    record = {"system_id": system_id, "scope": row.scope}
+    record.update((k, None if v is None else v * 100.0) for k, v in row.as_dict().items())
+    # from the scaled values, not 100 * row.per, which differs in the last bit
+    record["per"] = wise_per(record["wise_act"], record["wise_ideal"], 100.0)
+    return record
 
 
 def _fmt1(value: Optional[float]) -> str:
@@ -39,19 +34,20 @@ def _fmt1(value: Optional[float]) -> str:
     return str(Decimal(repr(value)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
 
 
-def render(rows: list[ReportRow], fmt: str = "markdown") -> bytes:
+def render(rows: list[tuple[str, DimensionSummary]], fmt: str = "markdown") -> bytes:
+    """The report of (system_id, row) pairs, one line per pair."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
-    header = ["system_id", "scope", *COLUMNS]
+    header = ["system_id", "scope", *METRICS]
+    records = [_record(system_id, row) for system_id, row in rows]
 
     if fmt == "structured":
         out = io.StringIO()
-        for row in rows:
-            out.write(json.dumps(asdict(row), ensure_ascii=False) + "\n")
+        for record in records:
+            out.write(json.dumps(record, ensure_ascii=False) + "\n")
         return out.getvalue().encode("utf-8")
 
-    table = [[row.system_id, row.scope, *(_fmt1(getattr(row, c)) for c in COLUMNS)]
-             for row in rows]
+    table = [[r["system_id"], r["scope"], *(_fmt1(r[c]) for c in METRICS)] for r in records]
     if fmt == "csv":
         lines = [",".join(header)] + [",".join(cells) for cells in table]
         return ("\n".join(lines) + "\n").encode("utf-8")

@@ -32,10 +32,7 @@ def _report(n, label):
 
 
 def _harness_view(ds, rs, cfg=MetricConfig()):
-    _, summaries, overall = evaluate_system(ds, rs, cfg)
-    view = {s.scope: s.as_dict() for s in summaries}
-    view["overall"] = overall.as_dict()
-    return view
+    return {row.scope: row.as_dict() for row in evaluate_system(ds, rs, cfg)[1]}
 
 
 def test_criterion_1_counterexamples():
@@ -110,8 +107,8 @@ def test_criterion_6_behavior_ordering():
     overall = {}
     records = {}
     for b in BEHAVIORS:
-        recs, _, o = evaluate_system(ds, gen_synthetic_runs(ds, spec, b))
-        overall[b], records[b] = o, recs
+        recs, rows = evaluate_system(ds, gen_synthetic_runs(ds, spec, b))
+        overall[b], records[b] = rows[-1], recs
     assert overall["perfect"].sicr == 1.0
     assert all(r.wise_f == r.wise_ideal for r in records["perfect"])
     assert overall["anti"].wise_act < 0
@@ -168,7 +165,7 @@ def test_criterion_9_official_bm25_row(tmp_path):
     dataset = ingest.load_dataset(OFFICIAL_DATASET)
     from infosearch_eval.bm25 import run_all_modes
     runset = run_all_modes(dataset, top_k=100)
-    _, _, overall = evaluate_system(dataset, runset)
+    overall = evaluate_system(dataset, runset)[1][-1]
     assert abs(overall.ndcg_ori * 100 - 47.5) <= 3.0
     assert abs(overall.ndcg_ins * 100 - 39.1) <= 3.0
     assert overall.sicr == 0.0

@@ -64,13 +64,16 @@ def test_validate_broken_reference(fixture_dirs, capsys):
     (["oracle", "{nope}", "{runs}/random"], "no such directory: {nope}"),
     (["oracle", "{dataset}", "{nope}"], "no such directory: {nope}"),
     (["evaluate", "{dataset}", "{empty}"], "no system subdirectories in runs directory"),
+    (["evaluate", "{dataset}", "{board}"],
+     "system directory name reserved for the leaderboard: {board}/leaderboard"),
 ], ids=["validate", "evaluate-dataset", "evaluate-runs", "bm25-run", "oracle-dataset",
-        "oracle-runs", "evaluate-empty-runs"])
+        "oracle-runs", "evaluate-empty-runs", "evaluate-leaderboard-system"])
 def test_validate_missing_directory(argv, line, fixture_dirs, tmp_path, capsys):
     dataset_dir, runs_dir = fixture_dirs
     (tmp_path / "empty").mkdir()
+    (tmp_path / "board" / "leaderboard").mkdir(parents=True)
     paths = dict(dataset=dataset_dir, runs=runs_dir, nope=tmp_path / "nope",
-                 empty=tmp_path / "empty")
+                 empty=tmp_path / "empty", board=tmp_path / "board")
     capsys.readouterr()
     assert main([a.format(**paths) for a in argv]) == 2
     out = capsys.readouterr()
@@ -237,6 +240,10 @@ def _bom(dataset_dir, runs_dir):
     path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
 
 
+def _leaderboard_system(dataset_dir, runs_dir):
+    (runs_dir / "anti").rename(runs_dir / "leaderboard")
+
+
 def _blank(*names):
     def prepare(dataset_dir, runs_dir):
         for name in names:
@@ -251,6 +258,8 @@ def _blank(*names):
     (["synth", "--dims", "Foo"], None, 2),
     (["synth", "--behaviors", "perfect,foo"], None, 2),
     (["bm25-run", "{dataset}", "--k1", "-1"], None, 2),
+    (["bm25-run", "{dataset}", "--k1", "nan"], None, 2),
+    (["bm25-run", "{dataset}", "--k1", "inf"], None, 2),
     (["bm25-run", "{dataset}", "--top-k", "0"], None, 2),
     (["bm25-run", "{dataset}", "--top-k", "-1"], None, 2),
     (["evaluate", "{dataset}", "{runs}"], _not_utf8, 1),
@@ -265,11 +274,14 @@ def _blank(*names):
     (["validate", "{dataset}"], _spaced_doc_ids, 1),
     (["bm25-run", "{dataset}"], _spaced_doc_ids, 1),
     (["evaluate", "{dataset}", "{runs}"], _spaced_doc_ids, 1),
+    (["evaluate", "{dataset}", "{runs}"], _leaderboard_system, 2),
 ], ids=["k", "wise-k", "synth-depth", "synth-dims", "synth-behaviors", "bm25-k1",
+        "bm25-k1-nan", "bm25-k1-inf",
         "bm25-top-k-0", "bm25-top-k-negative", "run-not-utf8", "bm25-no-documents",
         "evaluate-no-instructed", "document-not-object", "instructed-not-object",
         "bm25-non-string-text", "evaluate-numeric-doc-ids", "validate-dataset-bom",
-        "validate-spaced-doc-ids", "bm25-spaced-doc-ids", "evaluate-spaced-doc-ids"])
+        "validate-spaced-doc-ids", "bm25-spaced-doc-ids", "evaluate-spaced-doc-ids",
+        "evaluate-leaderboard-system"])
 def test_bad_input_exits_with_one_line(argv, prepare, code, fixture_dirs, tmp_path, capsys):
     dataset_dir, runs_dir = fixture_dirs
     if prepare:
@@ -279,10 +291,11 @@ def test_bad_input_exits_with_one_line(argv, prepare, code, fixture_dirs, tmp_pa
     if "validate" not in argv:  # every other command here writes files
         argv += ["--out", str(out)]
     capsys.readouterr()
+    usage = False
     try:
         rc = main(argv)
     except SystemExit as exc:  # argparse usage errors
-        rc = exc.code
+        rc, usage = exc.code, True
     assert rc == code
     captured = capsys.readouterr()
     err = captured.err.splitlines()
@@ -294,21 +307,52 @@ def test_bad_input_exits_with_one_line(argv, prepare, code, fixture_dirs, tmp_pa
         assert captured.out.startswith("invalid dataset: ")
     else:
         assert "error: " in err[-1]
-        if code == 1:
+        if not usage:  # argparse prints its usage line first
             assert len(err) == 1
     assert not out.exists()  # nothing written, not even the first behaviour
 
 
-def test_readme_quick_start_runs_as_written(tmp_path, monkeypatch):
+# the one-decimal leaderboard of the quick start; the structured format's
+# full-precision floats may differ in the last bit across libm builds
+QUICK_START_LEADERBOARD = """\
+system_id,scope,ndcg_ori,ndcg_ins,ndcg_rev,mrr1_ori,mrr1_ins,mrr1_rev,robustness_ori,robustness_ins,robustness_rev,p_mrr,wise_act,wise_ideal,per,sicr
+anti,overall,100.0,50.0,69.3,100.0,0.0,0.0,100.0,50.0,69.3,16.7,-50.0,100.0,150.0,0.0
+bm25,overall,9.7,15.7,6.7,0.0,0.0,0.0,9.7,0.0,1.5,-47.5,-47.5,24.2,296.1,0.0
+perfect,overall,100.0,100.0,100.0,100.0,100.0,100.0,100.0,100.0,100.0,-58.3,100.0,100.0,0.0,100.0
+random,overall,72.8,50.4,60.3,41.7,12.5,16.7,72.8,38.8,52.4,-1.2,-27.2,87.1,131.2,12.5
+"""
+
+
+def _readme_block(heading, lang):
     readme = (Path(__file__).parent.parent / "README.md").read_text()
-    block = readme.split("## Quick start")[1].split("```sh\n")[1].split("```")[0]
-    commands = [shlex.split(line) for line in block.splitlines()
+    return readme.split(f"## {heading}")[1].split(f"```{lang}\n")[1].split("```")[0]
+
+
+def _run_quick_start():
+    commands = [shlex.split(line) for line in _readme_block("Quick start", "sh").splitlines()
                 if line.strip() and not line.startswith("#")]
     assert len(commands) == 5
-    monkeypatch.chdir(tmp_path)
     for command in commands:
         assert command[0] == "infosearch"
         assert main(command[1:]) == 0, command
+
+
+def test_readme_quick_start_runs_as_written(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _run_quick_start()
+    assert Path("out/reports/leaderboard.csv").read_text() == QUICK_START_LEADERBOARD
+
+
+def test_readme_library_use_runs_as_written(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _run_quick_start()
+    capsys.readouterr()
+    namespace = {}
+    exec(_readme_block("Library use", "python"), namespace)
+    overall = namespace["rows"][-1]
+    assert overall.scope == "overall"
+    assert overall.sicr == 1.0  # the quick start's perfect system
+    assert capsys.readouterr().out == f"{overall.as_dict()}\n"
 
 
 # a value for every key the README may list; load_dataset must accept the

@@ -63,14 +63,15 @@ def test_missing_list_error(desk_dataset, desk_runset):
 
 
 def test_robustness_ori_equals_ndcg_ori(desk_dataset, desk_runset):
-    _, summaries, overall = evaluate_system(desk_dataset, desk_runset)
-    for s in summaries + [overall]:
+    _, rows = evaluate_system(desk_dataset, desk_runset)
+    for s in rows:
         assert s.robustness_ori == s.ndcg_ori
 
 
 def test_overall_is_mean_of_dimension_rows(desk_dataset, desk_runset):
-    _, summaries, overall = evaluate_system(desk_dataset, desk_runset)
-    assert len(summaries) == 2
+    _, rows = evaluate_system(desk_dataset, desk_runset)
+    *summaries, overall = rows
+    assert [s.scope for s in rows] == ["Audience", "Format", "overall"]
     assert overall.wise_act == pytest.approx(
         (summaries[0].wise_act + summaries[1].wise_act) / 2, abs=1e-15)
     assert overall.ndcg_ins == pytest.approx(
@@ -79,7 +80,7 @@ def test_overall_is_mean_of_dimension_rows(desk_dataset, desk_runset):
 
 
 def test_sicr_flag_implies_rank_chain(desk_dataset, desk_runset):
-    records, _, _ = evaluate_system(desk_dataset, desk_runset)
+    records, _ = evaluate_system(desk_dataset, desk_runset)
     for r in records:
         if r.sicr_i == 1:
             assert r.gold.r_ins < r.gold.r_ori < r.gold.r_rev
@@ -89,29 +90,29 @@ def test_aggregation_permutation_invariant():
     spec = SynthSpec(seed=11, cores_per_dim=3, conditions_per_core=2)
     ds = gen_synthetic_dataset(spec)
     rs = gen_synthetic_runs(ds, spec, "random")
-    _, _, overall = evaluate_system(ds, rs)
+    _, rows = evaluate_system(ds, rs)
 
     shuffled = type(ds)(documents=ds.documents,
                         core_queries=dict(reversed(list(ds.core_queries.items()))),
                         instructed_queries=dict(reversed(list(ds.instructed_queries.items()))))
-    _, _, overall2 = evaluate_system(shuffled, rs)
-    assert overall.as_dict() == overall2.as_dict()
+    _, rows2 = evaluate_system(shuffled, rs)
+    assert rows[-1].as_dict() == rows2[-1].as_dict()
 
 
 def test_dropping_dimension_only_affects_that_row_and_overall():
     spec = SynthSpec(seed=3, cores_per_dim=2, conditions_per_core=2)
     ds = gen_synthetic_dataset(spec)
     rs = gen_synthetic_runs(ds, spec, "random")
-    _, summaries, _ = evaluate_system(ds, rs)
+    _, rows = evaluate_system(ds, rs)
 
-    drop = summaries[0].scope
+    drop = rows[0].scope
     kept_iqs = {k: v for k, v in ds.instructed_queries.items()
                 if v.dimension.value != drop}
     kept_cores = {k: v for k, v in ds.core_queries.items()
                   if v.dimension.value != drop}
     smaller = type(ds)(documents=ds.documents, core_queries=kept_cores,
                        instructed_queries=kept_iqs)
-    _, summaries2, _ = evaluate_system(smaller, rs)
-    remaining = {s.scope: s.as_dict() for s in summaries2}
-    for s in summaries[1:]:
+    _, rows2 = evaluate_system(smaller, rs)
+    remaining = {s.scope: s.as_dict() for s in rows2}
+    for s in rows[1:-1]:  # the other dimensions' rows
         assert remaining[s.scope] == s.as_dict()

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from infosearch_eval.harness import evaluate_system
+from infosearch_eval.harness import METRICS, DimensionSummary, evaluate_system
 from infosearch_eval.metrics import wise_per
-from infosearch_eval.report import COLUMNS, ReportRow, render, row_from_summary
+from infosearch_eval.report import FORMATS, render
 from infosearch_eval.synth import SynthSpec, gen_synthetic_dataset, gen_synthetic_runs
 
 
@@ -12,10 +12,7 @@ def sample_rows():
     spec = SynthSpec(seed=2)
     ds = gen_synthetic_dataset(spec)
     rs = gen_synthetic_runs(ds, spec, "random")
-    _, summaries, overall = evaluate_system(ds, rs)
-    rows = [row_from_summary("sys", s) for s in summaries]
-    rows.append(row_from_summary("sys", overall))
-    return rows
+    return [("sys", row) for row in evaluate_system(ds, rs)[1]]
 
 
 def test_per_gap_table_row():
@@ -32,7 +29,7 @@ def test_per_gap_boundaries():
 
 def test_render_deterministic():
     rows = sample_rows()
-    for fmt in ("markdown", "csv", "structured"):
+    for fmt in FORMATS:
         assert render(rows, fmt) == render(rows, fmt)
 
 
@@ -52,26 +49,24 @@ def test_markdown_row_count():
 
 
 def test_display_rounds_half_away_from_zero():
-    def mk(v):
-        return ReportRow(system_id="s", scope="overall", ndcg_ori=v, ndcg_ins=v,
-                         ndcg_rev=v, mrr1_ori=v, mrr1_ins=v, mrr1_rev=v,
-                         robustness_ori=v, robustness_ins=v, robustness_rev=v,
-                         p_mrr=v, wise_act=v, wise_ideal=v, per=v, sicr=v)
-    assert b"0.3," in render([mk(0.25)], "csv")
-    assert b"-0.3," in render([mk(-0.25)], "csv")
+    def mk(v):  # v * 100 is exactly +-0.25
+        row = DimensionSummary("overall", **dict.fromkeys(METRICS, v), query_count=1)
+        return [("s", row)]
+    assert b",0.3," in render(mk(0.0025), "csv")
+    assert b",-0.3," in render(mk(-0.0025), "csv")
 
 
 def test_structured_keeps_full_precision():
     rows = sample_rows()
     lines = render(rows, "structured").decode().splitlines()
     rec = json.loads(lines[0])
-    assert rec["wise_act"] == rows[0].wise_act
+    assert rec["wise_act"] == rows[0][1].wise_act * 100.0
 
 
 def test_structured_row_bytes():
     # key order and the x100 Per. expression fix the jsonl bytes
     for line in render(sample_rows(), "structured").decode().splitlines():
         rec = json.loads(line)
-        assert list(rec) == ["system_id", "scope", *COLUMNS]
+        assert list(rec) == ["system_id", "scope", *METRICS]
         act, ideal = rec["wise_act"], rec["wise_ideal"]
         assert rec["per"] == 100.0 * (ideal - act) / ideal

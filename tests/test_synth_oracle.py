@@ -17,10 +17,7 @@ from infosearch_eval.synth import (BEHAVIORS, SynthSpec, gen_synthetic_dataset,
 
 
 def harness_view(dataset, runset, cfg=MetricConfig()):
-    _, summaries, overall = evaluate_system(dataset, runset, cfg)
-    view = {s.scope: s.as_dict() for s in summaries}
-    view["overall"] = overall.as_dict()
-    return view
+    return {row.scope: row.as_dict() for row in evaluate_system(dataset, runset, cfg)[1]}
 
 
 def test_dataset_counts():
@@ -46,8 +43,8 @@ def test_perfect_behavior_is_ideal():
     spec = SynthSpec(seed=5, cores_per_dim=3, conditions_per_core=3)
     ds = gen_synthetic_dataset(spec)
     rs = gen_synthetic_runs(ds, spec, "perfect")
-    records, _, overall = evaluate_system(ds, rs)
-    assert overall.sicr == 1.0
+    records, rows = evaluate_system(ds, rs)
+    assert rows[-1].sicr == 1.0
     for r in records:
         assert r.wise_f == r.wise_ideal
 
@@ -56,7 +53,8 @@ def test_anti_behavior_penalized():
     spec = SynthSpec(seed=5, cores_per_dim=3, conditions_per_core=3)
     ds = gen_synthetic_dataset(spec)
     rs = gen_synthetic_runs(ds, spec, "anti")
-    records, _, overall = evaluate_system(ds, rs)
+    records, rows = evaluate_system(ds, rs)
+    overall = rows[-1]
     assert all(r.wise_f <= 0 for r in records)
     assert overall.wise_act < 0
     assert overall.sicr == 0.0
@@ -67,8 +65,8 @@ def test_random_between_extremes():
     ds = gen_synthetic_dataset(spec)
     wises = {}
     for b in BEHAVIORS:
-        _, _, overall = evaluate_system(ds, gen_synthetic_runs(ds, spec, b))
-        wises[b] = overall.wise_act
+        _, rows = evaluate_system(ds, gen_synthetic_runs(ds, spec, b))
+        wises[b] = rows[-1].wise_act
     assert wises["anti"] < wises["random"] < wises["perfect"]
 
 
