@@ -4,15 +4,19 @@ All types are treated as immutable after construction, so ``evaluate``
 shares one loaded dataset with the worker processes it forks, which only
 read it.  Ranked lists are kept in canonical form: non-increasing by score
 with ties broken by ascending doc_id, which makes every downstream metric
-reproducible bit-for-bit.  A list holds no per-entry index: ``rank_of``
-scans its entries, once per gold and list.
+reproducible bit-for-bit.  A list holds two columns and no per-entry
+object: a tuple of doc_ids, whose strings run-file ingest shares across a
+system's lists, and an array of scores.  ``rank_of`` scans the doc_ids, once
+per gold and list.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import indexOf, itemgetter
+from operator import neg
 from typing import Optional
 
 from .errors import DuplicateDoc
@@ -71,7 +75,8 @@ class Dataset:
 
 
 class RankedList:
-    """Canonical ranked list: entries sorted by descending score, then doc_id.
+    """Canonical ranked list: doc_ids sorted by descending score, then doc_id,
+    with their scores in a parallel array.
 
     Input entries in any order are canonicalized on construction.  This is
     the one place that orders a list and rejects a repeated doc_id: it raises
@@ -79,34 +84,52 @@ class RankedList:
     """
 
     def __init__(self, query_key: str, mode: Mode,
-                 entries: list[tuple[str, float]] | tuple[tuple[str, float], ...]):
+                 entries: Iterable[tuple[str, float]]):
         self.query_key = query_key
         self.mode = mode
-        self.entries = tuple(sorted(entries, key=lambda e: (-e[1], e[0])))
-        if len(set(map(itemgetter(0), self.entries))) != len(self.entries):
+        # negated scores sort descending with no Python call per entry, and
+        # negating back is bit-exact, -0.0 included
+        neg_scores, self.doc_ids = tuple(zip(*sorted(
+            [(-score, doc_id) for doc_id, score in entries]))) or ((), ())
+        self.scores = array("d", map(neg, neg_scores))
+        if len(set(self.doc_ids)) != len(self.doc_ids):
             seen = set()
-            for doc_id, _ in self.entries:
+            for doc_id in self.doc_ids:
                 if doc_id in seen:
                     raise DuplicateDoc(query_key, doc_id)
                 seen.add(doc_id)
 
+    @property
+    def entries(self) -> tuple[tuple[str, float], ...]:
+        """The (doc_id, score) pairs in canonical order, built on each read:
+        a reader in a loop should read them once."""
+        return tuple(zip(self.doc_ids, self.scores))
+
+    @entries.setter
+    def entries(self, pairs) -> None:
+        """Replace the columns with (doc_id, score) pairs already in canonical order."""
+        doc_ids, scores = tuple(zip(*pairs)) or ((), ())
+        self.doc_ids = doc_ids
+        self.scores = array("d", scores)
+
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.doc_ids)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RankedList)
                 and self.query_key == other.query_key
                 and self.mode == other.mode
-                and self.entries == other.entries)
+                and self.doc_ids == other.doc_ids
+                and self.scores == other.scores)
 
     def __repr__(self):
-        return f"RankedList({self.query_key!r}, {self.mode.value}, {len(self.entries)} entries)"
+        return f"RankedList({self.query_key!r}, {self.mode.value}, {len(self.doc_ids)} entries)"
 
 
 def rank_of(ranked: RankedList, doc_id: str) -> Optional[int]:
     """1-based rank of doc_id in the canonical list; None when absent."""
     try:
-        return indexOf(map(itemgetter(0), ranked.entries), doc_id) + 1
+        return ranked.doc_ids.index(doc_id) + 1
     except ValueError:
         return None
 

@@ -79,7 +79,7 @@ def _gold_in(ranked: RankedList, doc_id: str) -> tuple[int, float]:
     rank = rank_of(ranked, doc_id)
     if rank is None:
         return len(ranked) + 1, float("-inf")
-    return rank, ranked.entries[rank - 1][1]
+    return rank, ranked.scores[rank - 1]
 
 
 def build_gold_contexts(dataset: Dataset, runset: RunSet

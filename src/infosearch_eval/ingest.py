@@ -17,8 +17,8 @@ from __future__ import annotations
 import json
 import math
 import sys
+from array import array
 from dataclasses import fields
-from operator import itemgetter
 from pathlib import Path
 
 from .core import (CoreQuery, Dataset, Dimension, Document, InstructedQuery,
@@ -149,8 +149,8 @@ def load_run(path: str | Path, mode: Mode, score_from_rank: bool = False) -> Run
     A byte-order mark at the start of the file is skipped.
     """
     path = Path(path)
-    # per query: the ranks, and the (doc_id, score) entries, in file order
-    per_query: dict[str, tuple[list[int], list[tuple[str, float]]]] = {}
+    # per query: the ranks, doc_ids and scores, in file order
+    per_query: dict[str, tuple[list[int], list[str], array]] = {}
     with path.open(encoding="utf-8-sig") as fh:
         try:
             for line_no, line in enumerate(fh, start=1):
@@ -169,26 +169,30 @@ def load_run(path: str | Path, mode: Mode, score_from_rank: bool = False) -> Run
                     raise MalformedLine(str(path), line_no, "rank must be >= 1")
                 if not math.isfinite(score):
                     raise MalformedLine(str(path), line_no, "non-finite score")
-                rows = per_query.get(query_key)
-                if rows is None:
-                    rows = per_query[query_key] = ([], [])
-                rows[0].append(rank)
+                columns = per_query.get(query_key)
+                if columns is None:
+                    columns = per_query[query_key] = ([], [], array("d"))
+                columns[0].append(rank)
                 # a system's lists repeat a few thousand doc_ids: keep one string of each
-                rows[1].append((sys.intern(doc_id), 1.0 / rank if score_from_rank else score))
+                columns[1].append(sys.intern(doc_id))
+                columns[2].append(1.0 / rank if score_from_rank else score)
         except UnicodeDecodeError as exc:
             raise IntegrityViolation(f"{path}: not UTF-8 ({exc.reason})") from exc
 
     runset = RunSet(system_id=path.stem)
-    for query_key, (ranks, entries) in per_query.items():
-        ranked = RankedList(query_key, mode, entries)
+    for query_key in list(per_query):
+        # free each query's columns as its list is made, so the two are not all held at once
+        ranks, doc_ids, scores = per_query.pop(query_key)
+        ranked = RankedList(query_key, mode, list(zip(doc_ids, scores)))
         if ranks != list(range(1, len(ranks) + 1)):
-            by_rank = sorted(zip(ranks, entries), key=itemgetter(0))
+            by_rank = sorted(zip(ranks, doc_ids))
             if [rank for rank, _ in by_rank] != list(range(1, len(ranks) + 1)):
                 raise RankGap(query_key)
-            entries = [entry for _, entry in by_rank]
-        if ranked.entries != tuple(entries):
+            doc_ids = [doc_id for _, doc_id in by_rank]
+        # a list holds each doc_id once, so equal doc_ids mean equal scores
+        if ranked.doc_ids != tuple(doc_ids):
             raise ScoreOrderViolation(query_key, next(
-                rank for rank, (got, want) in enumerate(zip(entries, ranked.entries), start=1)
+                rank for rank, (got, want) in enumerate(zip(doc_ids, ranked.doc_ids), start=1)
                 if got != want))
         runset.add(ranked)
     return runset

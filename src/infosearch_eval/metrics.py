@@ -49,7 +49,7 @@ class GoldContext:
 def ndcg_at_k(ranked: RankedList, relevant: set[str], k: int) -> float:
     """Binary-relevance nDCG@k with 1/log2(rank+1) discount; relevant is non-empty."""
     dcg = 0.0
-    for pos, (doc_id, _) in enumerate(ranked.entries[:k], start=1):
+    for pos, doc_id in enumerate(ranked.doc_ids[:k], start=1):
         if doc_id in relevant:
             dcg += 1.0 / math.log2(pos + 1)
     ideal = sum(1.0 / math.log2(i + 1) for i in range(1, min(len(relevant), k) + 1))
@@ -58,9 +58,9 @@ def ndcg_at_k(ranked: RankedList, relevant: set[str], k: int) -> float:
 
 def mrr_at_1(ranked: RankedList, relevant: set[str]) -> int:
     """1 iff the top-ranked document is relevant; 0 for an empty list."""
-    if not ranked.entries:
+    if not ranked.doc_ids:
         return 0
-    return 1 if ranked.entries[0][0] in relevant else 0
+    return 1 if ranked.doc_ids[0] in relevant else 0
 
 
 def robustness_at_k(groups: Sequence[Sequence[float]]) -> float:
@@ -124,7 +124,8 @@ def wise_query(ctx: GoldContext, cfg: MetricConfig) -> float:
 def wise_ideal_query(r_ori: int, n: int, k: int) -> float:
     """Best reward achievable from r_ori, assuming the reversed rank can
     always be pushed below r_ori."""
-    return max(wise_reward(r_ori, r, n, k) for r in range(1, r_ori + 1))
+    # when r_ori > k every r >= 2 is rewarded 0.01, so the scan stops at k
+    return max(wise_reward(r_ori, r, n, k) for r in range(1, min(r_ori, k) + 1))
 
 
 def wise_per(act: float, ideal: float, scale: float = 1.0) -> Optional[float]:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -36,9 +38,18 @@ def test_duplicate_doc_names_the_first_repeat_in_canonical_order():
 
 
 def test_ranked_list_keeps_no_per_entry_index():
-    # rank_of scans the entries: a map per list would cost memory on every entry
+    # rank_of scans the doc_ids: a map per list would cost memory on every entry
     rl = RankedList("q", Mode.ORIGINAL, [("b", 0.9), ("a", 0.9), ("c", 0.1)])
-    assert set(vars(rl)) == {"query_key", "mode", "entries"}
+    assert set(vars(rl)) == {"query_key", "mode", "doc_ids", "scores"}
+
+
+def test_ranked_list_reads_its_entries_once():
+    pairs = [("b", 0.5), ("a", 0.9), ("c", -0.0), ("d", 0.0)]
+    rl = RankedList("q", Mode.ORIGINAL, (pair for pair in pairs))
+    assert rl == RankedList("q", Mode.ORIGINAL, pairs)
+    assert rl.entries == (("a", 0.9), ("b", 0.5), ("c", -0.0), ("d", 0.0))
+    assert [math.copysign(1.0, score) for score in rl.scores] == [1.0, 1.0, -1.0, 1.0]
+    assert RankedList("q", Mode.ORIGINAL, iter(())).entries == ()
 
 
 entries_st = st.lists(

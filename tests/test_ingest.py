@@ -1,4 +1,7 @@
 import json
+import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -85,6 +88,26 @@ def _strings_per_doc_id(runsets):
             for doc_id, _ in ranked.entries:
                 strings.setdefault(doc_id, {})[id(doc_id)] = doc_id
     return strings
+
+
+def test_ranked_lists_hold_under_24_bytes_per_entry(tmp_path):
+    # a doc_id column holds one pointer and a score column one double per entry;
+    # a (doc_id, score) tuple and a float object per entry would hold about 88 bytes
+    doc_ids = [sys.intern(f"doc{i:05d}") for i in range(5_000)]  # made before tracing
+    rng = random.Random(15)
+    path = tmp_path / "sys.run"
+    with path.open("w") as fh:
+        for query in range(1_000):
+            for rank, doc_id in enumerate(sorted(rng.sample(doc_ids, 100)), start=1):
+                fh.write(f"q{query:04d} Q0 {doc_id} {rank} {round(1.0 / rank, 2)!r} t\n")
+    tracemalloc.start()
+    try:
+        runset = ingest.load_run(path, Mode.ORIGINAL)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, runset.lists.values())) == 100_000
+    assert held / 100_000 < 24
 
 
 def test_load_run_keeps_one_string_per_doc_id(tmp_path):
@@ -217,6 +240,24 @@ def test_run_round_trip(tmp_path_factory, lists):
     ingest.write_run(rs, path)
     back = ingest.load_run(path, Mode.INSTRUCTED)
     assert back.lists == rs.lists
+
+
+@pytest.mark.parametrize("score_from_rank", [False, True])
+def test_run_round_trip_is_byte_exact(tmp_path, score_from_rank):
+    # the score column must keep every bit: == alone would let -0.0 pass for 0.0
+    scores = {"q1": [1.7976931348623157e308, 5e-324, 5e-324, 0.0, -0.0, -0.0, 0.0,
+                     -1.7976931348623157e308],
+              "q0": [2.5, 2.5, -0.0]}
+    lines = []
+    for query_key, column in scores.items():
+        for rank, score in enumerate(column, start=1):
+            score = 1.0 / rank if score_from_rank else score
+            lines.append(f"{query_key} Q0 d{rank} {rank} {score!r} run\n")
+    text = "".join(lines)
+    path, out = tmp_path / "in.run", tmp_path / "out.run"
+    path.write_text(text)
+    ingest.write_run(ingest.load_run(path, Mode.ORIGINAL, score_from_rank), out)
+    assert out.read_bytes() == text.encode()
 
 
 def test_dataset_round_trip(tmp_path, desk_dataset):

@@ -1,4 +1,5 @@
 import math
+from itertools import repeat
 
 import pytest
 from hypothesis import given
@@ -200,6 +201,16 @@ def test_wise_ideal():
     assert wise_ideal_query(3, n=5, k=20) == 1.0
     assert wise_ideal_query(5, n=1, k=20) == pytest.approx(0.8, abs=1e-12)
     assert wise_ideal_query(30, n=1, k=20) == 0.01
+
+
+def test_wise_ideal_equals_the_scan_over_every_r_ins():
+    # the kernel scans r_ins only up to k: past it every reward but r_ins = 1 is 0.01
+    for k in range(1, 40):
+        for n in range(1, 8):
+            for r_ori in range(1, 250):
+                full = max(map(wise_reward, repeat(r_ori), range(1, r_ori + 1),
+                               repeat(n), repeat(k)))
+                assert wise_ideal_query(r_ori, n, k).hex() == full.hex(), (k, n, r_ori)
 
 
 @given(st.integers(1, 30), st.integers(1, 40), st.integers(1, 5))
