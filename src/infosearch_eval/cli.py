@@ -35,8 +35,7 @@ MODE_FILES = {Mode.ORIGINAL: "original.run",
 
 
 def _config(args) -> MetricConfig:
-    sign = PMRR_FLIPPED if args.p_mrr_sign == "flipped" else PMRR_AS_PRINTED
-    return MetricConfig(k_ndcg=args.k, k_wise=args.wise_k, p_mrr_sign=sign)
+    return MetricConfig(k_ndcg=args.k, k_wise=args.wise_k, p_mrr_sign=args.p_mrr_sign)
 
 
 def _bm25_params(args) -> bm25.Bm25Params:
@@ -220,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Instruction-following retrieval evaluation toolkit.")
     parser.add_argument("--k", type=int, default=10, help="nDCG/Robustness cutoff")
     parser.add_argument("--wise-k", type=int, default=20, help="WISE top-K focus")
-    parser.add_argument("--p-mrr-sign", choices=["as-printed", "flipped"], default="as-printed")
+    parser.add_argument("--p-mrr-sign", choices=[PMRR_AS_PRINTED, PMRR_FLIPPED],
+                        default=PMRR_AS_PRINTED)
     parser.add_argument("--score-from-rank", action="store_true",
                         help="replace run scores with 1/rank (rank-only systems)")
     sub = parser.add_subparsers(dest="command", required=True)

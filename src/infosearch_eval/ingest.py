@@ -48,46 +48,54 @@ def _files(directory: Path, stem: str) -> list[Path]:
     return hits
 
 
-# per record type, its fields annotated str
-_STR_FIELDS = {cls: [f.name for f in fields(cls) if f.type == "str"]
-               for cls in (Document, CoreQuery, InstructedQuery)}
-
-
 # fields a run file names in a whitespace-separated column
 _ID_FIELDS = frozenset(("doc_id", "core_id", "query_id", "gold_doc_id"))
 
-
-def _check_strings(record) -> None:
-    """Raise ValueError naming a field annotated str, or a positive's key, that
-    holds no str, or an id that a run-file column could not hold."""
-    for key in _STR_FIELDS[type(record)]:
-        value = getattr(record, key)
-        if not isinstance(value, str):
-            raise ValueError(f"{key} must be a string")
-        if key in _ID_FIELDS and value.split() != [value]:
-            raise ValueError(f"{key} must be one token with no whitespace")
-    for doc_id, condition in getattr(record, "positives", ()):
-        if not isinstance(doc_id, str):
-            raise ValueError("doc_id must be a string")
-        if doc_id.split() != [doc_id]:
-            raise ValueError("doc_id must be one token with no whitespace")
-        if not isinstance(condition, str):
-            raise ValueError("condition must be a string")
+# per file stem, which is also the Dataset field holding its records: the
+# record type and its field names in declaration order, the id field first
+_KINDS = {stem: (kind, tuple(f.name for f in fields(kind))) for stem, kind in (
+    ("documents", Document), ("core_queries", CoreQuery),
+    ("instructed_queries", InstructedQuery))}
 
 
-def _load_records(directory: Path, stem: str, id_field: str, make) -> dict:
-    """Records of every <stem>*.jsonl file, keyed by id_field, made by make(rec)."""
+def _string(rec, key: str) -> str:
+    """rec[key], which must be a str, and one token if key names an id."""
+    value = rec[key]
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a string")
+    if key in _ID_FIELDS and value.split() != [value]:
+        raise ValueError(f"{key} must be one token with no whitespace")
+    return value
+
+
+def _decode(kind, names: tuple[str, ...], rec):
+    """The kind record of a JSON line, read and checked one field at a time in
+    declaration order, so the first faulty field is the one reported."""
+    values = []
+    for name in names:
+        if name == "dimension":
+            values.append(Dimension(rec[name]))
+        elif name == "positives":
+            values.append(tuple((_string(p, "doc_id"), _string(p, "condition"))
+                                for p in rec[name]))
+        else:
+            values.append(_string(rec, name))
+    return kind(*values)
+
+
+def _load_records(directory: Path, stem: str) -> dict:
+    """Records of every <stem>*.jsonl file, keyed by their id field."""
+    kind, names = _KINDS[stem]
     records = {}
     for path in _files(directory, stem):
         for line_no, rec in _read_jsonl(path):
             try:
-                record = make(rec)
-                _check_strings(record)
+                record = _decode(kind, names, rec)
             except (KeyError, ValueError, TypeError) as exc:  # TypeError: a non-object line
                 raise MalformedLine(str(path), line_no, str(exc)) from exc
-            key = getattr(record, id_field)
+            key = getattr(record, names[0])
             if key in records:
-                raise IntegrityViolation(f"duplicate {id_field} {key!r}")
+                raise IntegrityViolation(f"duplicate {names[0]} {key!r}")
             records[key] = record
     return records
 
@@ -95,19 +103,7 @@ def _load_records(directory: Path, stem: str, id_field: str, make) -> dict:
 def load_dataset(directory: str | Path) -> Dataset:
     """Load and validate a dataset directory; raises on any violation."""
     directory = Path(directory)
-    dataset = Dataset(
-        documents=_load_records(directory, "documents", "doc_id", lambda r: Document(
-            doc_id=r["doc_id"], text=r["text"], dimension=Dimension(r["dimension"]),
-            condition=r["condition"])),
-        core_queries=_load_records(directory, "core_queries", "core_id", lambda r: CoreQuery(
-            core_id=r["core_id"], text=r["text"], dimension=Dimension(r["dimension"]),
-            positives=tuple((p["doc_id"], p["condition"]) for p in r["positives"]))),
-        instructed_queries=_load_records(
-            directory, "instructed_queries", "query_id", lambda r: InstructedQuery(
-                query_id=r["query_id"], core_id=r["core_id"],
-                dimension=Dimension(r["dimension"]), condition=r["condition"],
-                instructed_text=r["instructed_text"], reversed_text=r["reversed_text"],
-                gold_doc_id=r["gold_doc_id"])))
+    dataset = Dataset(**{stem: _load_records(directory, stem) for stem in _KINDS})
     violations = validate_dataset(dataset)
     if violations:
         raise IntegrityViolation("; ".join(violations))
@@ -118,25 +114,15 @@ def write_dataset(dataset: Dataset, directory: str | Path) -> None:
     """Serialize a dataset into the directory layout load_dataset expects."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-
-    def dump(path: Path, records) -> None:
-        with path.open("w", encoding="utf-8", newline="\n") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
-
-    dump(directory / "documents.jsonl",
-         ({"doc_id": d.doc_id, "text": d.text, "dimension": d.dimension.value,
-           "condition": d.condition} for d in dataset.documents.values()))
-    dump(directory / "core_queries.jsonl",
-         ({"core_id": c.core_id, "text": c.text, "dimension": c.dimension.value,
-           "positives": [{"doc_id": doc_id, "condition": cond}
-                         for doc_id, cond in c.positives]}
-          for c in dataset.core_queries.values()))
-    dump(directory / "instructed_queries.jsonl",
-         ({"query_id": q.query_id, "core_id": q.core_id,
-           "dimension": q.dimension.value, "condition": q.condition,
-           "instructed_text": q.instructed_text, "reversed_text": q.reversed_text,
-           "gold_doc_id": q.gold_doc_id} for q in dataset.instructed_queries.values()))
+    for stem, (_, names) in _KINDS.items():
+        with (directory / f"{stem}.jsonl").open("w", encoding="utf-8", newline="\n") as fh:
+            for record in getattr(dataset, stem).values():
+                # a Dimension is a str, so json writes its value
+                obj = {name: getattr(record, name) for name in names}
+                if "positives" in obj:
+                    obj["positives"] = [{"doc_id": doc_id, "condition": condition}
+                                        for doc_id, condition in record.positives]
+                fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
 
 
 def load_run(path: str | Path, mode: Mode, score_from_rank: bool = False) -> RunSet:

@@ -19,24 +19,25 @@ from .metrics import MetricConfig
 MAX_ORACLE_QUERIES = 10_000
 
 
-def _linear_rank(ranked, doc_id) -> Optional[int]:
-    for i, (d, _) in enumerate(ranked.entries):
+def _linear_rank(entries, doc_id) -> Optional[int]:
+    for i, (d, _) in enumerate(entries):
         if d == doc_id:
             return i + 1
     return None
 
 
-def _linear_score(ranked, doc_id) -> Optional[float]:
-    for d, s in ranked.entries:
+def _linear_score(entries, doc_id) -> Optional[float]:
+    for d, s in entries:
         if d == doc_id:
             return s
     return None
 
 
 def _naive_ndcg(ranked, relevant: set[str], k: int) -> float:
+    entries = ranked.entries
     dcg = 0.0
-    for rank in range(1, min(k, len(ranked.entries)) + 1):
-        if ranked.entries[rank - 1][0] in relevant:
+    for rank in range(1, min(k, len(entries)) + 1):
+        if entries[rank - 1][0] in relevant:
             dcg += 1.0 / math.log2(rank + 1)
     idcg = 0.0
     for rank in range(1, min(k, len(relevant)) + 1):
@@ -45,9 +46,10 @@ def _naive_ndcg(ranked, relevant: set[str], k: int) -> float:
 
 
 def _naive_mrr1(ranked, relevant: set[str]) -> int:
-    if len(ranked.entries) == 0:
+    entries = ranked.entries
+    if len(entries) == 0:
         return 0
-    return 1 if ranked.entries[0][0] in relevant else 0
+    return 1 if entries[0][0] in relevant else 0
 
 
 def _avg(values: list[float]) -> float:
@@ -71,24 +73,26 @@ def oracle_metrics(dataset: Dataset, runset: RunSet,
         l_ins = runset.lists[(iq.query_id, Mode.INSTRUCTED)]
         l_rev = runset.lists[(iq.query_id, Mode.REVERSED)]
         gold = iq.gold_doc_id
+        # each read of entries builds the list's pairs: read them once per list
+        e_ori, e_ins, e_rev = l_ori.entries, l_ins.entries, l_rev.entries
 
-        r_ori = _linear_rank(l_ori, gold)
+        r_ori = _linear_rank(e_ori, gold)
         if r_ori is None:
-            r_ori = len(l_ori.entries) + 1
-        r_ins = _linear_rank(l_ins, gold)
+            r_ori = len(e_ori) + 1
+        r_ins = _linear_rank(e_ins, gold)
         if r_ins is None:
-            r_ins = len(l_ins.entries) + 1
-        r_rev = _linear_rank(l_rev, gold)
+            r_ins = len(e_ins) + 1
+        r_rev = _linear_rank(e_rev, gold)
         if r_rev is None:
-            r_rev = len(l_rev.entries) + 1
+            r_rev = len(e_rev) + 1
 
-        s_ori = _linear_score(l_ori, gold)
+        s_ori = _linear_score(e_ori, gold)
         if s_ori is None:
             s_ori = float("-inf")
-        s_ins = _linear_score(l_ins, gold)
+        s_ins = _linear_score(e_ins, gold)
         if s_ins is None:
             s_ins = float("-inf")
-        s_rev = _linear_score(l_rev, gold)
+        s_rev = _linear_score(e_rev, gold)
         if s_rev is None:
             s_rev = float("-inf")
 

@@ -306,26 +306,42 @@ def _set_first_positive(value):
     return lambda rec: rec["positives"][0].update(doc_id=value)
 
 
-@pytest.mark.parametrize("stem, edit, key", [
-    ("documents", _set("doc_id", "d 0"), "doc_id"),
-    ("documents", _set("doc_id", ""), "doc_id"),
-    ("core_queries", _set("core_id", "c0\t"), "core_id"),
-    ("core_queries", _set_first_positive("d0\u00a0x"), "doc_id"),
-    ("instructed_queries", _set("query_id", "c0 q0"), "query_id"),
-    ("instructed_queries", _set("core_id", ""), "core_id"),
-    ("instructed_queries", _set("gold_doc_id", "d0\n"), "gold_doc_id"),
+ID_FAULT = "{} must be one token with no whitespace"
+
+
+@pytest.mark.parametrize("stem, edit, message", [
+    ("documents", _set("doc_id", "d 0"), ID_FAULT.format("doc_id")),
+    ("documents", _set("doc_id", ""), ID_FAULT.format("doc_id")),
+    ("core_queries", _set("core_id", "c0\t"), ID_FAULT.format("core_id")),
+    ("core_queries", _set_first_positive("d0\u00a0x"), ID_FAULT.format("doc_id")),
+    ("instructed_queries", _set("query_id", "c0 q0"), ID_FAULT.format("query_id")),
+    ("instructed_queries", _set("core_id", ""), ID_FAULT.format("core_id")),
+    ("instructed_queries", _set("gold_doc_id", "d0\n"), ID_FAULT.format("gold_doc_id")),
+    # a line with several faults reports the first faulty key in declaration order
+    ("documents", lambda rec: (rec.clear(), rec.update(doc_id=5)), "doc_id must be a string"),
+    ("core_queries", lambda rec: rec.update(core_id="a b", dimension="Bogus"),
+     ID_FAULT.format("core_id")),
 ], ids=["doc-id-space", "doc-id-empty", "core-id-tab", "positive-no-break-space",
-        "query-id-space", "instructed-core-id-empty", "gold-newline"])
+        "query-id-space", "instructed-core-id-empty", "gold-newline",
+        "numeric-doc-id-before-missing-keys", "spaced-core-id-before-bogus-dimension"])
 def test_load_dataset_rejects_an_id_no_run_file_can_carry(tmp_path, desk_dataset, stem,
-                                                          edit, key):
+                                                          edit, message, capsys):
     # a run file splits its columns on whitespace, so such an id could never match
-    ingest.write_dataset(desk_dataset, tmp_path)
-    path = tmp_path / f"{stem}.jsonl"
+    dataset, runs = tmp_path / "dataset", tmp_path / "runs"
+    ingest.write_dataset(desk_dataset, dataset)
+    runs.mkdir()
+    path = dataset / f"{stem}.jsonl"
     first, *rest = path.read_text().splitlines(keepends=True)
     rec = json.loads(first)
     edit(rec)
     path.write_text(json.dumps(rec) + "\n" + "".join(rest))
+    line = f"{path}:1: malformed line: {message}"
     with pytest.raises(MalformedLine) as got:
-        ingest.load_dataset(tmp_path)
-    assert str(got.value) == (
-        f"{path}:1: malformed line: {key} must be one token with no whitespace")
+        ingest.load_dataset(dataset)
+    assert str(got.value) == line
+    # validate reports it on stdout, evaluate on stderr, both with exit code 1
+    capsys.readouterr()
+    assert cli.main(["validate", str(dataset)]) == 1
+    assert capsys.readouterr() == (f"invalid dataset: {line}\n", "")
+    assert cli.main(["evaluate", str(dataset), str(runs), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr() == ("", f"error: {line}\n")
