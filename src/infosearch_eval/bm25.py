@@ -8,6 +8,11 @@ single-character tokens (the corpus contains Chinese documents).
 An instructed or reversed query is usually its core query's text followed by
 the instruction, so ``run_all_modes`` accumulates each core query's postings
 once and passes them to ``search`` as ``base`` for the core's own queries.
+
+The index holds one ``(ordinal, tf)`` pair per document and distinct term
+frequency, shared by the postings of every term with that frequency in that
+document: a document repeats a few small frequencies, so most postings are a
+pointer to a pair that already exists.
 """
 
 from __future__ import annotations
@@ -57,7 +62,9 @@ class Bm25Params:
 @dataclass
 class InvertedIndex:
     params: Bm25Params  # the norms below hold only for these
-    postings: dict[str, list[tuple[int, int]]]  # term -> [(doc_ordinal, tf)]
+    # term -> [(doc_ordinal, tf)] in ascending ordinal order, with one pair
+    # object per document and tf, shared by every term with that tf there
+    postings: dict[str, list[tuple[int, int]]]
     doc_count: int
     doc_ids: list[str]
     idf: dict[str, float]
@@ -75,8 +82,10 @@ def build_index(documents: list[Document], params: Bm25Params = Bm25Params()) ->
         terms = tokenize(doc.text)
         doc_lengths.append(len(terms))
         doc_ids.append(doc.doc_id)
-        for term, tf in Counter(terms).items():
-            postings.setdefault(term, []).append((ordinal, tf))
+        counts = Counter(terms)
+        pair = {tf: (ordinal, tf) for tf in set(counts.values())}
+        for term, tf in counts.items():
+            postings.setdefault(term, []).append(pair[tf])
     n = len(documents)
     idf = {term: math.log(1.0 + (n - len(plist) + 0.5) / (len(plist) + 0.5))
            for term, plist in postings.items()}

@@ -71,15 +71,23 @@ def _string(rec, key: str) -> str:
 def _decode(kind, names: tuple[str, ...], rec):
     """The kind record of a JSON line, read and checked one field at a time in
     declaration order, so the first faulty field is the one reported."""
+    if not isinstance(rec, dict):
+        raise ValueError("expected a JSON object")
     values = []
-    for name in names:
-        if name == "dimension":
-            values.append(Dimension(rec[name]))
-        elif name == "positives":
-            values.append(tuple((_string(p, "doc_id"), _string(p, "condition"))
-                                for p in rec[name]))
-        else:
-            values.append(_string(rec, name))
+    try:
+        for name in names:
+            if name == "dimension":
+                values.append(Dimension(rec[name]))
+            elif name == "positives":
+                positives = rec[name]
+                if not (isinstance(positives, list) and all(isinstance(p, dict) for p in positives)):
+                    raise ValueError("positives must be a list of objects")
+                values.append(tuple((_string(p, "doc_id"), _string(p, "condition"))
+                                    for p in positives))
+            else:
+                values.append(_string(rec, name))
+    except KeyError as exc:  # of a line or a positive
+        raise ValueError(f"missing key {exc.args[0]}") from None
     return kind(*values)
 
 
@@ -91,7 +99,7 @@ def _load_records(directory: Path, stem: str) -> dict:
         for line_no, rec in _read_jsonl(path):
             try:
                 record = _decode(kind, names, rec)
-            except (KeyError, ValueError, TypeError) as exc:  # TypeError: a non-object line
+            except ValueError as exc:
                 raise MalformedLine(str(path), line_no, str(exc)) from exc
             key = getattr(record, names[0])
             if key in records:

@@ -5,7 +5,8 @@ wrapped name is no longer called reads 0 under ``bench/run.py --trace 1``
 instead of failing.  This runs the traced CLI on a small fixture and requires
 each per-layer metric to be non-zero in the ``evaluate`` or the ``bm25-run``
 trace.  ``bm25-run`` must also send every query through ``bm25.search``, the
-name its per-layer search metrics are recorded under, and ``evaluate`` on one
+name its per-layer search metrics are recorded under, and count one posting
+per document and distinct term in ``bm25.build_index``; ``evaluate`` on one
 system must count one ``EvalRecord`` per instructed query.
 """
 
@@ -15,6 +16,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from infosearch_eval.bm25 import tokenize
 from infosearch_eval.cli import main
 from infosearch_eval.ingest import load_dataset
 
@@ -50,3 +52,6 @@ def test_every_traced_layer_is_reached(tmp_path):
     # one system, so evaluate_system returns one record per instructed query
     assert derived[0]["harness.evaluate_system.queries"] == len(ds.instructed_queries)
     assert derived[1]["bm25.search.calls"] == len(ds.core_queries) + 2 * len(ds.instructed_queries)
+    # one posting per document and distinct term, counted without the index
+    assert derived[1]["bm25.build_index.postings"] == sum(
+        len(set(tokenize(d.text))) for d in ds.documents.values())

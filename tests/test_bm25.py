@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -74,6 +75,30 @@ def test_build_index_single_doc():
     assert idx.postings == {"a": [(0, 2)], "b": [(0, 1)]}
     assert idx.norms == [1.2]  # k1 * (1 - b + b * 3 / 3)
     assert idx.doc_count == 1
+
+
+def test_index_postings_share_one_pair_per_document_and_tf():
+    idx = build_index([doc("d0", "a b a b c"), doc("d1", "a c")])
+    assert idx.postings == {"a": [(0, 2), (1, 1)], "b": [(0, 2)], "c": [(0, 1), (1, 1)]}
+    assert idx.postings["a"][0] is idx.postings["b"][0]
+    assert idx.postings["a"][1] is idx.postings["c"][1]
+    assert idx.postings["c"][0] is not idx.postings["c"][1]
+    # a document repeats a few small tfs, so a posting is mostly a list
+    # pointer; a tuple per posting would hold about 64 bytes
+    rng = random.Random(17)
+    vocab = [f"w{i}" for i in range(500)]
+    weights = [1.0 / (rank + 1) for rank in range(len(vocab))]
+    docs = [doc(f"d{i:03d}", " ".join(rng.choices(vocab, weights, k=rng.randint(20, 400))))
+            for i in range(300)]  # made before tracing
+    tracemalloc.start()
+    try:
+        idx = build_index(docs)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    postings = sum(map(len, idx.postings.values()))
+    assert postings == sum(len(set(tokenize(d.text))) for d in docs)
+    assert held / postings < 24
 
 
 def test_build_index_empty_corpus():

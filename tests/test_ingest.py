@@ -298,12 +298,22 @@ def test_load_dataset_accepts_per_dimension_files(tmp_path, desk_dataset):
     assert len(loaded.documents) == 8
 
 
+# each edit returns the JSON value to write in place of the file's first line
 def _set(key, value):
-    return lambda rec: rec.update({key: value})
+    return lambda rec: {**rec, key: value}
+
+
+def _drop(key):
+    return lambda rec: {k: v for k, v in rec.items() if k != key}
+
+
+def _replace(value):
+    return lambda rec: value
 
 
 def _set_first_positive(value):
-    return lambda rec: rec["positives"][0].update(doc_id=value)
+    return lambda rec: {**rec, "positives": [{**rec["positives"][0], "doc_id": value},
+                                             *rec["positives"][1:]]}
 
 
 ID_FAULT = "{} must be one token with no whitespace"
@@ -318,12 +328,17 @@ ID_FAULT = "{} must be one token with no whitespace"
     ("instructed_queries", _set("core_id", ""), ID_FAULT.format("core_id")),
     ("instructed_queries", _set("gold_doc_id", "d0\n"), ID_FAULT.format("gold_doc_id")),
     # a line with several faults reports the first faulty key in declaration order
-    ("documents", lambda rec: (rec.clear(), rec.update(doc_id=5)), "doc_id must be a string"),
-    ("core_queries", lambda rec: rec.update(core_id="a b", dimension="Bogus"),
+    ("documents", _replace({"doc_id": 5}), "doc_id must be a string"),
+    ("core_queries", lambda rec: {**rec, "core_id": "a b", "dimension": "Bogus"},
      ID_FAULT.format("core_id")),
+    # faults of shape name the field, or what was expected
+    ("core_queries", _drop("dimension"), "missing key dimension"),
+    ("core_queries", _set("positives", 5), "positives must be a list of objects"),
+    ("instructed_queries", _replace(["q0", "c0"]), "expected a JSON object"),
 ], ids=["doc-id-space", "doc-id-empty", "core-id-tab", "positive-no-break-space",
         "query-id-space", "instructed-core-id-empty", "gold-newline",
-        "numeric-doc-id-before-missing-keys", "spaced-core-id-before-bogus-dimension"])
+        "numeric-doc-id-before-missing-keys", "spaced-core-id-before-bogus-dimension",
+        "missing-dimension", "positives-not-a-list", "line-not-an-object"])
 def test_load_dataset_rejects_an_id_no_run_file_can_carry(tmp_path, desk_dataset, stem,
                                                           edit, message, capsys):
     # a run file splits its columns on whitespace, so such an id could never match
@@ -332,9 +347,7 @@ def test_load_dataset_rejects_an_id_no_run_file_can_carry(tmp_path, desk_dataset
     runs.mkdir()
     path = dataset / f"{stem}.jsonl"
     first, *rest = path.read_text().splitlines(keepends=True)
-    rec = json.loads(first)
-    edit(rec)
-    path.write_text(json.dumps(rec) + "\n" + "".join(rest))
+    path.write_text(json.dumps(edit(json.loads(first))) + "\n" + "".join(rest))
     line = f"{path}:1: malformed line: {message}"
     with pytest.raises(MalformedLine) as got:
         ingest.load_dataset(dataset)
