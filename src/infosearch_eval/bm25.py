@@ -155,8 +155,7 @@ def run_all_modes(dataset: Dataset, params: Bm25Params = Bm25Params(),
     """Retrieve for every core/instructed/reversed query over the full corpus.
 
     Queries are searched core by core, so one core's ``base`` is alive at a
-    time; the lists are added core queries first, then each instructed
-    query's two, both in dataset order.
+    time.
     """
     docs = list(dataset.documents.values())
     index = build_index(docs, params)
@@ -165,7 +164,6 @@ def run_all_modes(dataset: Dataset, params: Bm25Params = Bm25Params(),
     for iq in dataset.instructed_queries.values():
         groups.setdefault(iq.core_id, []).append(iq)
     runset = RunSet(system_id="bm25")
-    instructed: dict[str, tuple[RankedList, RankedList]] = {}
     for core_id, iqs in groups.items():
         base = None
         cq = dataset.core_queries.get(core_id)
@@ -175,12 +173,8 @@ def run_all_modes(dataset: Dataset, params: Bm25Params = Bm25Params(),
             runset.add(RankedList(core_id, Mode.ORIGINAL,
                                   search(index, params, cq.text, top_k, base)))
         for iq in iqs:
-            instructed[iq.query_id] = (
-                RankedList(iq.query_id, Mode.INSTRUCTED,
-                           search(index, params, iq.instructed_text, top_k, base)),
-                RankedList(iq.query_id, Mode.REVERSED,
-                           search(index, params, iq.reversed_text, top_k, base)))
-    for iq in dataset.instructed_queries.values():
-        for ranked in instructed[iq.query_id]:
-            runset.add(ranked)
+            runset.add(RankedList(iq.query_id, Mode.INSTRUCTED,
+                                  search(index, params, iq.instructed_text, top_k, base)))
+            runset.add(RankedList(iq.query_id, Mode.REVERSED,
+                                  search(index, params, iq.reversed_text, top_k, base)))
     return runset

@@ -5,8 +5,8 @@ oversize oracle input), 2 usage or environment problem (bad option
 values, I/O, missing paths).  ``main`` turns every failure into its exit
 code and one ``error:`` line on stderr; ``validate`` prints what is wrong
 with a dataset on stdout instead, as its report.  Run directories hold one
-subdirectory per system with three mode files: original.run,
-instructed.run, reversed.run.  ``evaluate`` loads the dataset once and
+subdirectory per system, which ``ingest.load_system`` reads and
+``ingest.write_system`` writes.  ``evaluate`` loads the dataset once and
 evaluates the systems in forked worker processes, one per CPU in the
 process's affinity mask and at most one per system, so ``taskset`` caps
 them; with one such CPU, or where ``fork`` is not available, it evaluates
@@ -24,14 +24,10 @@ from collections import Counter
 from pathlib import Path
 
 from . import bm25, ingest, oracle, report, synth
-from .core import Dataset, Dimension, Mode, RunSet
+from .core import Dataset, Dimension
 from .errors import InfoSearchError
 from .harness import DimensionSummary, evaluate_system
 from .metrics import PMRR_AS_PRINTED, PMRR_FLIPPED, MetricConfig
-
-MODE_FILES = {Mode.ORIGINAL: "original.run",
-              Mode.INSTRUCTED: "instructed.run",
-              Mode.REVERSED: "reversed.run"}
 
 
 def _config(args) -> MetricConfig:
@@ -61,28 +57,6 @@ def _require_dirs(*paths: Path) -> None:
             raise NotADirectoryError(f"no such directory: {path}")
 
 
-def _load_system_runs(system_dir: Path, score_from_rank: bool) -> RunSet:
-    runset = RunSet(system_id=system_dir.name)
-    for mode, fname in MODE_FILES.items():
-        path = system_dir / fname
-        if not path.is_file():
-            raise FileNotFoundError(f"missing run file: {path}")
-        part = ingest.load_run(path, mode, score_from_rank=score_from_rank)
-        for ranked in part.lists.values():
-            runset.add(ranked)
-    return runset
-
-
-def _write_system_runs(runset: RunSet, out_dir: Path, tag: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for mode, fname in MODE_FILES.items():
-        part = RunSet(system_id=runset.system_id)
-        for (key, m), ranked in runset.lists.items():
-            if m is mode:
-                part.add(ranked)
-        ingest.write_run(part, out_dir / fname, tag=tag)
-
-
 def cmd_validate(args) -> int:
     _require_dirs(args.dataset)
     try:
@@ -102,9 +76,13 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _evaluate_one(dataset: Dataset, system_dir: Path, cfg: MetricConfig,
-                  score_from_rank: bool) -> list[DimensionSummary]:
-    return evaluate_system(dataset, _load_system_runs(system_dir, score_from_rank), cfg)[1]
+# (dataset, cfg, score_from_rank) while _evaluate_all runs; forked workers inherit it
+_evaluate_args = None
+
+
+def _evaluate_one(system_dir: Path) -> list[DimensionSummary]:
+    dataset, cfg, score_from_rank = _evaluate_args
+    return evaluate_system(dataset, ingest.load_system(system_dir, score_from_rank), cfg)[1]
 
 
 def _cpu_count() -> int:
@@ -115,20 +93,6 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-# (dataset, cfg, score_from_rank), set in each worker process only
-_worker_args = None
-
-
-def _init_worker(*args) -> None:
-    global _worker_args
-    _worker_args = args
-
-
-def _evaluate_in_worker(system_dir: Path):
-    dataset, cfg, score_from_rank = _worker_args
-    return _evaluate_one(dataset, system_dir, cfg, score_from_rank)
-
-
 def _evaluate_all(dataset: Dataset, system_dirs: list[Path], cfg: MetricConfig,
                   score_from_rank: bool) -> list[list[DimensionSummary]]:
     """The result rows of each system, in the order of system_dirs.
@@ -136,23 +100,27 @@ def _evaluate_all(dataset: Dataset, system_dirs: list[Path], cfg: MetricConfig,
     Raises what evaluating the first faulty system raises, and
     ChildProcessError when a worker process dies.
     """
-    workers = min(_cpu_count(), len(system_dirs))
-    if workers > 1:
-        # imported here: it costs every other command time and memory
-        import multiprocessing
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-            from concurrent.futures.process import BrokenProcessPool
-            # fork, so that each worker inherits the dataset instead of
-            # unpickling it; this process runs no other thread when it forks
-            try:
-                with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                         initializer=_init_worker,
-                                         initargs=(dataset, cfg, score_from_rank)) as pool:
-                    return list(pool.map(_evaluate_in_worker, system_dirs))
-            except BrokenProcessPool as exc:
-                raise ChildProcessError("an evaluate worker process died") from exc
-    return [_evaluate_one(dataset, d, cfg, score_from_rank) for d in system_dirs]
+    global _evaluate_args
+    _evaluate_args = (dataset, cfg, score_from_rank)
+    try:
+        workers = min(_cpu_count(), len(system_dirs))
+        if workers > 1:
+            # imported here: it costs every other command time and memory
+            import multiprocessing
+            if "fork" in multiprocessing.get_all_start_methods():
+                from concurrent.futures import ProcessPoolExecutor
+                from concurrent.futures.process import BrokenProcessPool
+                # fork, so that each worker inherits _evaluate_args instead of
+                # unpickling the dataset; this process runs no other thread when it forks
+                try:
+                    with ProcessPoolExecutor(
+                            workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                        return list(pool.map(_evaluate_one, system_dirs))
+                except BrokenProcessPool as exc:
+                    raise ChildProcessError("an evaluate worker process died") from exc
+        return [_evaluate_one(d) for d in system_dirs]
+    finally:
+        _evaluate_args = None
 
 
 def cmd_evaluate(args) -> int:
@@ -181,7 +149,7 @@ def cmd_bm25_run(args) -> int:
     _require_dirs(args.dataset)
     dataset = ingest.load_dataset(args.dataset)
     runset = bm25.run_all_modes(dataset, args.settings, top_k=args.top_k)
-    _write_system_runs(runset, args.out, tag="bm25")
+    ingest.write_system(dataset, runset, args.out, tag="bm25")
     print(f"wrote BM25 runs ({len(runset.lists)} lists) to {args.out}")
     return 0
 
@@ -192,7 +160,7 @@ def cmd_synth(args) -> int:
     ingest.write_dataset(dataset, out_dir / "dataset")
     for behavior in args.behaviors.split(","):
         runset = synth.gen_synthetic_runs(dataset, spec, behavior)
-        _write_system_runs(runset, out_dir / "runs" / behavior, tag=behavior)
+        ingest.write_system(dataset, runset, out_dir / "runs" / behavior, tag=behavior)
     print(f"wrote synthetic fixtures to {out_dir}")
     return 0
 
@@ -202,7 +170,7 @@ def cmd_oracle(args) -> int:
     dataset = ingest.load_dataset(args.dataset)
     if len(dataset.instructed_queries) > oracle.MAX_ORACLE_QUERIES:
         raise InfoSearchError(f"oracle input exceeds {oracle.MAX_ORACLE_QUERIES} queries")
-    runset = _load_system_runs(args.runs, args.score_from_rank)
+    runset = ingest.load_system(args.runs, args.score_from_rank)
     harness_view = {row.scope: row.as_dict()
                     for row in evaluate_system(dataset, runset, args.settings)[1]}
     mismatches = oracle.diff_reports(harness_view,

@@ -10,6 +10,7 @@ byte-order mark skipped, every value but positives a string):
 Wildcards allow either one combined file per kind or one file per
 dimension.  Run files follow the usual interchange convention:
     <query_key> Q0 <doc_id> <rank> <score> <tag>
+A system directory holds one run file per mode, named in MODE_FILES.
 """
 
 from __future__ import annotations
@@ -26,6 +27,11 @@ from .core import (CoreQuery, Dataset, Dimension, Document, InstructedQuery,
 from .errors import IntegrityViolation, MalformedLine, RankGap, ScoreOrderViolation
 
 
+MODE_FILES = {Mode.ORIGINAL: "original.run",
+              Mode.INSTRUCTED: "instructed.run",
+              Mode.REVERSED: "reversed.run"}
+
+
 def _read_jsonl(path: Path):
     with path.open(encoding="utf-8-sig") as fh:
         try:
@@ -35,7 +41,9 @@ def _read_jsonl(path: Path):
                     continue
                 try:
                     yield line_no, json.loads(line)
-                except json.JSONDecodeError as exc:
+                # a JSONDecodeError is a ValueError, and so is an integer
+                # over Python's digit limit; deep nesting overflows the stack
+                except (ValueError, RecursionError) as exc:
                     raise MalformedLine(str(path), line_no, str(exc)) from exc
         except UnicodeDecodeError as exc:
             raise IntegrityViolation(f"{path}: not UTF-8 ({exc.reason})") from exc
@@ -197,5 +205,36 @@ def write_run(runset: RunSet, path: str | Path, tag: str = "run") -> None:
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         for (query_key, _mode), ranked in runset.lists.items():
-            for rank, (doc_id, score) in enumerate(ranked.entries, start=1):
+            for rank, (doc_id, score) in enumerate(zip(ranked.doc_ids, ranked.scores), start=1):
                 fh.write(f"{query_key} Q0 {doc_id} {rank} {score!r} {tag}\n")
+
+
+def load_system(directory: str | Path, score_from_rank: bool = False) -> RunSet:
+    """The lists of a system directory's three mode files, in one RunSet."""
+    directory = Path(directory)
+    runset = RunSet(system_id=directory.name)
+    for mode, fname in MODE_FILES.items():
+        path = directory / fname
+        if not path.is_file():
+            raise FileNotFoundError(f"missing run file: {path}")
+        runset.lists.update(load_run(path, mode, score_from_rank=score_from_rank).lists)
+    return runset
+
+
+def write_system(dataset: Dataset, runset: RunSet, directory: str | Path, tag: str) -> None:
+    """Write a system directory that load_system reads back.
+
+    Each mode file holds the runset's lists of the dataset's queries in
+    dataset order: core_queries order for original.run, instructed_queries
+    order for the other two.
+    """
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    for mode, fname in MODE_FILES.items():
+        keys = dataset.core_queries if mode is Mode.ORIGINAL else dataset.instructed_queries
+        part = RunSet(system_id=runset.system_id)
+        for key in keys:
+            ranked = runset.get(key, mode)
+            if ranked is not None:
+                part.add(ranked)
+        write_run(part, directory / fname, tag=tag)

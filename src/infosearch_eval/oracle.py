@@ -17,24 +17,19 @@ from .core import Dataset, Dimension, Mode, RunSet
 from .metrics import MetricConfig
 
 MAX_ORACLE_QUERIES = 10_000
+# largest difference diff_reports accepts between two values of a field
+TOLERANCE = 1e-12
 
 
-def _linear_rank(entries, doc_id) -> Optional[int]:
-    for i, (d, _) in enumerate(entries):
+def _linear_find(entries, doc_id) -> tuple[int, float]:
+    """(rank, score) of doc_id, or (depth + 1, -inf) when the list lacks it."""
+    for i, (d, s) in enumerate(entries):
         if d == doc_id:
-            return i + 1
-    return None
+            return i + 1, s
+    return len(entries) + 1, float("-inf")
 
 
-def _linear_score(entries, doc_id) -> Optional[float]:
-    for d, s in entries:
-        if d == doc_id:
-            return s
-    return None
-
-
-def _naive_ndcg(ranked, relevant: set[str], k: int) -> float:
-    entries = ranked.entries
+def _naive_ndcg(entries, relevant: set[str], k: int) -> float:
     dcg = 0.0
     for rank in range(1, min(k, len(entries)) + 1):
         if entries[rank - 1][0] in relevant:
@@ -45,8 +40,7 @@ def _naive_ndcg(ranked, relevant: set[str], k: int) -> float:
     return dcg / idcg
 
 
-def _naive_mrr1(ranked, relevant: set[str]) -> int:
-    entries = ranked.entries
+def _naive_mrr1(entries, relevant: set[str]) -> int:
     if len(entries) == 0:
         return 0
     return 1 if entries[0][0] in relevant else 0
@@ -69,32 +63,14 @@ def oracle_metrics(dataset: Dataset, runset: RunSet,
     per_query: list[dict] = []
     for iq in dataset.instructed_queries.values():
         core = dataset.core_queries[iq.core_id]
-        l_ori = runset.lists[(iq.core_id, Mode.ORIGINAL)]
-        l_ins = runset.lists[(iq.query_id, Mode.INSTRUCTED)]
-        l_rev = runset.lists[(iq.query_id, Mode.REVERSED)]
-        gold = iq.gold_doc_id
         # each read of entries builds the list's pairs: read them once per list
-        e_ori, e_ins, e_rev = l_ori.entries, l_ins.entries, l_rev.entries
-
-        r_ori = _linear_rank(e_ori, gold)
-        if r_ori is None:
-            r_ori = len(e_ori) + 1
-        r_ins = _linear_rank(e_ins, gold)
-        if r_ins is None:
-            r_ins = len(e_ins) + 1
-        r_rev = _linear_rank(e_rev, gold)
-        if r_rev is None:
-            r_rev = len(e_rev) + 1
-
-        s_ori = _linear_score(e_ori, gold)
-        if s_ori is None:
-            s_ori = float("-inf")
-        s_ins = _linear_score(e_ins, gold)
-        if s_ins is None:
-            s_ins = float("-inf")
-        s_rev = _linear_score(e_rev, gold)
-        if s_rev is None:
-            s_rev = float("-inf")
+        e_ori = runset.lists[(iq.core_id, Mode.ORIGINAL)].entries
+        e_ins = runset.lists[(iq.query_id, Mode.INSTRUCTED)].entries
+        e_rev = runset.lists[(iq.query_id, Mode.REVERSED)].entries
+        gold = iq.gold_doc_id
+        r_ori, s_ori = _linear_find(e_ori, gold)
+        r_ins, s_ins = _linear_find(e_ins, gold)
+        r_rev, s_rev = _linear_find(e_rev, gold)
 
         n = len(core.positives)
         k = cfg.k_wise
@@ -145,10 +121,10 @@ def oracle_metrics(dataset: Dataset, runset: RunSet,
         per_query.append({
             "query_id": iq.query_id, "core_id": iq.core_id, "dim": iq.dimension,
             "f": f_q, "ideal": ideal, "indicator": indicator, "p_mrr": p_mrr,
-            "ndcg_ins": _naive_ndcg(l_ins, {gold}, cfg.k_ndcg),
-            "ndcg_rev": _naive_ndcg(l_rev, rel_rev, cfg.k_ndcg) if rel_rev else None,
-            "mrr1_ins": _naive_mrr1(l_ins, {gold}),
-            "mrr1_rev": _naive_mrr1(l_rev, rel_rev) if rel_rev else None,
+            "ndcg_ins": _naive_ndcg(e_ins, {gold}, cfg.k_ndcg),
+            "ndcg_rev": _naive_ndcg(e_rev, rel_rev, cfg.k_ndcg) if rel_rev else None,
+            "mrr1_ins": _naive_mrr1(e_ins, {gold}),
+            "mrr1_rev": _naive_mrr1(e_rev, rel_rev) if rel_rev else None,
         })
 
     report: dict[str, dict[str, Optional[float]]] = {}
@@ -163,10 +139,10 @@ def oracle_metrics(dataset: Dataset, runset: RunSet,
         ins_minima, rev_minima = [], []
         for core_id in core_ids:
             core = dataset.core_queries[core_id]
-            l_ori = runset.lists[(core_id, Mode.ORIGINAL)]
+            e_ori = runset.lists[(core_id, Mode.ORIGINAL)].entries
             rel = set(d for d, _ in core.positives)
-            ndcg_ori_vals.append(_naive_ndcg(l_ori, rel, cfg.k_ndcg))
-            mrr1_ori_vals.append(float(_naive_mrr1(l_ori, rel)))
+            ndcg_ori_vals.append(_naive_ndcg(e_ori, rel, cfg.k_ndcg))
+            mrr1_ori_vals.append(float(_naive_mrr1(e_ori, rel)))
             group_ins = [q["ndcg_ins"] for q in rows if q["core_id"] == core_id]
             ins_minima.append(min(group_ins))
             group_rev = [q["ndcg_rev"] for q in rows
@@ -208,8 +184,7 @@ def oracle_metrics(dataset: Dataset, runset: RunSet,
 
 
 def diff_reports(a: dict[str, dict[str, Optional[float]]],
-                 b: dict[str, dict[str, Optional[float]]],
-                 tol: float = 1e-12) -> list[str]:
+                 b: dict[str, dict[str, Optional[float]]]) -> list[str]:
     """Field-by-field comparison; returns human-readable mismatches."""
     mismatches = []
     for scope in sorted(set(a) | set(b)):
@@ -220,6 +195,6 @@ def diff_reports(a: dict[str, dict[str, Optional[float]]],
             va, vb = a[scope].get(field), b[scope].get(field)
             if va is None and vb is None:
                 continue
-            if va is None or vb is None or abs(va - vb) > tol:
+            if va is None or vb is None or abs(va - vb) > TOLERANCE:
                 mismatches.append(f"{scope}.{field}: {va} != {vb}")
     return mismatches

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infosearch_eval import ingest
 from infosearch_eval.bm25 import (Bm25Params, _accumulate, build_index,
                                   run_all_modes, search, tokenize)
+from infosearch_eval.cli import main
 from infosearch_eval.core import (CoreQuery, Dataset, Dimension, Document,
                                   InstructedQuery, Mode)
 from infosearch_eval.errors import EmptyCorpus
@@ -247,19 +249,19 @@ def test_identical_texts_identical_rankings(desk_dataset):
 
 
 def per_query_reference(dataset, params, top_k):
-    """Every query searched from scratch, in the order run_all_modes adds them."""
+    """Every query searched from scratch: {(query_key, mode): hits}."""
     idx = build_index(list(dataset.documents.values()), params)
-    out = [((cq.core_id, Mode.ORIGINAL), search(idx, params, cq.text, top_k))
-           for cq in dataset.core_queries.values()]
+    out = {(cq.core_id, Mode.ORIGINAL): search(idx, params, cq.text, top_k)
+           for cq in dataset.core_queries.values()}
     for iq in dataset.instructed_queries.values():
-        out.append(((iq.query_id, Mode.INSTRUCTED), search(idx, params, iq.instructed_text, top_k)))
-        out.append(((iq.query_id, Mode.REVERSED), search(idx, params, iq.reversed_text, top_k)))
+        out[iq.query_id, Mode.INSTRUCTED] = search(idx, params, iq.instructed_text, top_k)
+        out[iq.query_id, Mode.REVERSED] = search(idx, params, iq.reversed_text, top_k)
     return out
 
 
 def assert_runs_equal_reference(dataset, params=Bm25Params(), top_k=100):
-    got = [(key, list(ranked.entries))
-           for key, ranked in run_all_modes(dataset, params, top_k).lists.items()]
+    got = {key: list(ranked.entries)
+           for key, ranked in run_all_modes(dataset, params, top_k).lists.items()}
     assert got == per_query_reference(dataset, params, top_k)
 
 
@@ -328,6 +330,32 @@ def prefix_datasets(draw):
 def test_run_all_modes_equals_per_query_search_on_generated_datasets(case):
     dataset, top_k = case
     assert_runs_equal_reference(dataset, top_k=top_k)
+
+
+def test_bm25_run_writes_each_file_in_dataset_order(tmp_path):
+    """original.run follows core_queries.jsonl and the other two follow
+    instructed_queries.jsonl, whatever order their lines come in."""
+    dataset_dir, runs_dir = tmp_path / "dataset", tmp_path / "runs"
+    ingest.write_dataset(gen_synthetic_dataset(SynthSpec(seed=7)), dataset_dir)
+    rng = random.Random(11)
+    for name in ("core_queries", "instructed_queries"):
+        path = dataset_dir / f"{name}.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        rng.shuffle(lines)
+        path.write_text("".join(lines), encoding="utf-8")
+    dataset = ingest.load_dataset(dataset_dir)
+    cores = list(dataset.core_queries)
+    # run_all_modes searches the instructed queries grouped by core, in another order
+    by_core = sorted(dataset.instructed_queries,
+                     key=lambda q: cores.index(dataset.instructed_queries[q].core_id))
+    assert by_core != list(dataset.instructed_queries)
+    assert main(["bm25-run", str(dataset_dir), "--out", str(runs_dir), "--top-k", "3"]) == 0
+
+    def keys(name):
+        lines = (runs_dir / name).read_text(encoding="utf-8").splitlines()
+        return list(dict.fromkeys(line.split()[0] for line in lines))
+    assert keys("original.run") == cores
+    assert keys("instructed.run") == keys("reversed.run") == list(dataset.instructed_queries)
 
 
 def test_search_with_base_leaves_base_unchanged():

@@ -202,6 +202,12 @@ def _append(name, line):
     return prepare
 
 
+# JSON that Python's parser rejects with ValueError and RecursionError: an
+# integer over its 4,300-digit conversion limit, and nesting deeper than its stack
+_LONG_INTEGER = _append("documents", '{"doc_id": ' + "1" * 5000 + "}")
+_DEEP_NESTING = _append("core_queries", "[" * 100_000 + "]" * 100_000)
+
+
 def _non_string_text(dataset_dir, runs_dir):
     path = dataset_dir / "documents.jsonl"
     first, *rest = path.read_text().splitlines(keepends=True)
@@ -275,13 +281,18 @@ def _blank(*names):
     (["bm25-run", "{dataset}"], _spaced_doc_ids, 1),
     (["evaluate", "{dataset}", "{runs}"], _spaced_doc_ids, 1),
     (["evaluate", "{dataset}", "{runs}"], _leaderboard_system, 2),
+    (["validate", "{dataset}"], _LONG_INTEGER, 1),
+    (["evaluate", "{dataset}", "{runs}"], _LONG_INTEGER, 1),
+    (["validate", "{dataset}"], _DEEP_NESTING, 1),
+    (["evaluate", "{dataset}", "{runs}"], _DEEP_NESTING, 1),
 ], ids=["k", "wise-k", "synth-depth", "synth-dims", "synth-behaviors", "bm25-k1",
         "bm25-k1-nan", "bm25-k1-inf",
         "bm25-top-k-0", "bm25-top-k-negative", "run-not-utf8", "bm25-no-documents",
         "evaluate-no-instructed", "document-not-object", "instructed-not-object",
         "bm25-non-string-text", "evaluate-numeric-doc-ids", "validate-dataset-bom",
         "validate-spaced-doc-ids", "bm25-spaced-doc-ids", "evaluate-spaced-doc-ids",
-        "evaluate-leaderboard-system"])
+        "evaluate-leaderboard-system", "validate-long-integer", "evaluate-long-integer",
+        "validate-deep-nesting", "evaluate-deep-nesting"])
 def test_bad_input_exits_with_one_line(argv, prepare, code, fixture_dirs, tmp_path, capsys):
     dataset_dir, runs_dir = fixture_dirs
     if prepare:
@@ -303,8 +314,9 @@ def test_bad_input_exits_with_one_line(argv, prepare, code, fixture_dirs, tmp_pa
         assert err == []
     elif code == 1 and "validate" in argv:  # validate reports a faulty dataset on stdout
         assert err == []
-        assert len(captured.out.splitlines()) == 1
-        assert captured.out.startswith("invalid dataset: ")
+        # each faulty dataset here has one line that cannot be read
+        assert re.fullmatch(r"invalid dataset: \S+\.jsonl:\d+: malformed line: .+\n",
+                            captured.out)
     else:
         assert "error: " in err[-1]
         if not usage:  # argparse prints its usage line first

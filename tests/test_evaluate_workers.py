@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from infosearch_eval import cli
+from infosearch_eval import cli, ingest
 
 needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                                 reason="the worker path needs the fork start method")
@@ -41,13 +41,15 @@ def _evaluate(fixture_dirs, out, cpus, monkeypatch, capsys, *options):
 
 
 def _record_pids(monkeypatch, log: Path):
-    evaluate_one = cli._evaluate_one
+    """Log the pid of each process that loads a system; forked workers
+    inherit the patched ``ingest.load_system``."""
+    load_system = ingest.load_system
 
     def recording(*args):
         with log.open("a") as fh:
             fh.write(f"{os.getpid()}\n")
-        return evaluate_one(*args)
-    monkeypatch.setattr(cli, "_evaluate_one", recording)
+        return load_system(*args)
+    monkeypatch.setattr(ingest, "load_system", recording)
 
 
 def _pids(log: Path) -> set[int]:
@@ -225,19 +227,19 @@ def test_malformed_line_exits_1_from_the_command_line(fixture_dirs, tmp_path):
 
 DYING_WORKER = """
 import os, sys
-from infosearch_eval import cli
+from infosearch_eval import cli, ingest
 
 parent = os.getpid()
 os.sched_getaffinity = lambda pid: {0, 1}
-evaluate_one = cli._evaluate_one
+load_system = ingest.load_system
 
-def dying(dataset, system_dir, *rest):
+def dying(system_dir, *rest):
     if system_dir.name == "perfect":
         assert os.getpid() != parent, "evaluated in the parent process"
         os._exit(3)
-    return evaluate_one(dataset, system_dir, *rest)
+    return load_system(system_dir, *rest)
 
-cli._evaluate_one = dying
+ingest.load_system = dying
 sys.exit(cli.main(sys.argv[1:]))
 """
 

@@ -8,10 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from infosearch_eval import cli, ingest
+from infosearch_eval.bm25 import run_all_modes
 from infosearch_eval.core import Mode, RankedList, RunSet
 from infosearch_eval.errors import (DuplicateDoc, IntegrityViolation,
                                     MalformedLine, RankGap,
                                     ScoreOrderViolation)
+from infosearch_eval.synth import SynthSpec, gen_synthetic_dataset, gen_synthetic_runs
 
 
 def test_load_run_single_line(tmp_path):
@@ -113,7 +115,7 @@ def test_ranked_lists_hold_under_24_bytes_per_entry(tmp_path):
 def test_load_run_keeps_one_string_per_doc_id(tmp_path):
     system = tmp_path / "sys"
     system.mkdir()
-    for mode, fname in cli.MODE_FILES.items():
+    for mode, fname in ingest.MODE_FILES.items():
         # every list repeats doc-a and doc-b, and q2's lines are out of rank order
         (system / fname).write_text(f"q1 Q0 doc-a 1 2.0 {mode.value}\n"
                                     f"q1 Q0 doc-b 2 1.0 {mode.value}\n"
@@ -124,7 +126,7 @@ def test_load_run_keeps_one_string_per_doc_id(tmp_path):
     strings = _strings_per_doc_id([one_file])
     assert {doc_id: len(objs) for doc_id, objs in strings.items()} == {
         "doc-a": 1, "doc-b": 1, "doc-c": 1}
-    three_files = cli._load_system_runs(system, score_from_rank=False)
+    three_files = ingest.load_system(system)
     assert len(three_files.lists) == 6
     strings = _strings_per_doc_id([three_files])
     assert {doc_id: len(objs) for doc_id, objs in strings.items()} == {
@@ -258,6 +260,16 @@ def test_run_round_trip_is_byte_exact(tmp_path, score_from_rank):
     path.write_text(text)
     ingest.write_run(ingest.load_run(path, Mode.ORIGINAL, score_from_rank), out)
     assert out.read_bytes() == text.encode()
+
+
+def test_system_round_trip(tmp_path):
+    spec = SynthSpec(seed=7)
+    dataset = gen_synthetic_dataset(spec)
+    for runset in (gen_synthetic_runs(dataset, spec, "random"), run_all_modes(dataset, top_k=5)):
+        directory = tmp_path / runset.system_id
+        ingest.write_system(dataset, runset, directory, tag="t")
+        assert sorted(p.name for p in directory.iterdir()) == sorted(ingest.MODE_FILES.values())
+        assert ingest.load_system(directory) == runset
 
 
 def test_dataset_round_trip(tmp_path, desk_dataset):

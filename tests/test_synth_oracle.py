@@ -173,4 +173,4 @@ def test_scale_invariance_of_all_metrics():
         scaled = RunSet(system_id=rs.system_id)
         for (qk, mode), rl in rs.lists.items():
             scaled.add(RankedList(qk, mode, [(d, s * factor) for d, s in rl.entries]))
-        assert diff_reports(base, harness_view(ds, scaled), tol=1e-12) == []
+        assert diff_reports(base, harness_view(ds, scaled)) == []
