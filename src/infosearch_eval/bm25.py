@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .core import Dataset, Document, InstructedQuery, Mode, RankedList, RunSet
-from .errors import EmptyCorpus
+from .errors import InfoSearchError
 
 # main CJK ideograph blocks plus kana and hangul syllables
 _CJK_RANGES = (
@@ -74,7 +74,7 @@ class InvertedIndex:
 
 def build_index(documents: list[Document], params: Bm25Params = Bm25Params()) -> InvertedIndex:
     if not documents:
-        raise EmptyCorpus("no documents to index")
+        raise InfoSearchError("no documents to index")
     postings: dict[str, list[tuple[int, int]]] = {}
     doc_lengths: list[int] = []
     doc_ids: list[str] = []

@@ -1,9 +1,9 @@
 """Command-line surface: validate, evaluate, bm25-run, synth, oracle.
 
-Exit codes: 0 success, 1 data problem (violations, missing lists,
-oversize oracle input), 2 usage or environment problem (bad option
-values, I/O, missing paths).  ``main`` turns every failure into its exit
-code and one ``error:`` line on stderr; ``validate`` prints what is wrong
+Exit codes: 0 success, 1 data problem (an ``InfoSearchError``), 2 usage
+or environment problem (a ``ValueError`` from an option's settings, an
+``OSError``).  ``main`` turns every failure into its exit code and one
+``error:`` line on stderr; ``validate`` prints what is wrong
 with a dataset on stdout instead, as its report.  Run directories hold one
 subdirectory per system, which ``ingest.load_system`` reads and
 ``ingest.write_system`` writes.  ``evaluate`` loads the dataset once and

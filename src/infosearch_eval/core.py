@@ -19,7 +19,7 @@ from enum import Enum
 from operator import neg
 from typing import Optional
 
-from .errors import DuplicateDoc
+from .errors import InfoSearchError
 
 
 class Dimension(str, Enum):
@@ -80,7 +80,7 @@ class RankedList:
 
     Input entries in any order are canonicalized on construction.  This is
     the one place that orders a list and rejects a repeated doc_id: it raises
-    DuplicateDoc, naming the first repeat in canonical order.
+    InfoSearchError, naming the first repeat in canonical order.
     """
 
     def __init__(self, query_key: str, mode: Mode,
@@ -96,7 +96,7 @@ class RankedList:
             seen = set()
             for doc_id in self.doc_ids:
                 if doc_id in seen:
-                    raise DuplicateDoc(query_key, doc_id)
+                    raise InfoSearchError(f"duplicate doc {doc_id!r} in list for {query_key!r}")
                 seen.add(doc_id)
 
     @property

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 from .core import Dataset, Dimension, InstructedQuery, Mode, RankedList, RunSet, rank_of
-from .errors import EmptyInput, MissingList
+from .errors import InfoSearchError
 from .metrics import (GoldContext, MetricConfig, mrr_at_1, ndcg_at_k, p_mrr_doc,
                       robustness_at_k, sicr, sicr_indicator, wise_ideal_query,
                       wise_per, wise_query)
@@ -86,7 +86,8 @@ def build_gold_contexts(dataset: Dataset, runset: RunSet
                         ) -> list[tuple[InstructedQuery, GoldContext,
                                         tuple[RankedList, RankedList, RankedList]]]:
     """One GoldContext per instructed query, with the query's original,
-    instructed and reversed lists; raises one MissingList carrying every gap."""
+    instructed and reversed lists.  Raises one InfoSearchError that counts
+    every missing list and names the first five."""
     out = []
     gaps: dict[tuple[str, str], None] = {}  # ordered, and a shared core counts once
     for iq in dataset.instructed_queries.values():
@@ -105,7 +106,9 @@ def build_gold_contexts(dataset: Dataset, runset: RunSet
                           n_positives=len(dataset.core_queries[iq.core_id].positives))
         out.append((iq, ctx, tuple(lists)))
     if gaps:
-        raise MissingList(list(gaps))
+        named = ", ".join(f"{mode} {key!r}" for key, mode in list(gaps)[:5])
+        raise InfoSearchError(
+            f"{len(gaps)} missing list(s): {named}{', ...' if len(gaps) > 5 else ''}")
     return out
 
 
@@ -125,7 +128,7 @@ def evaluate_system(dataset: Dataset, runset: RunSet, cfg: MetricConfig = Metric
     """Full evaluation: the per-query records, and the per-dimension rows in
     Dimension order followed by the overall row."""
     if not dataset.instructed_queries:
-        raise EmptyInput("dataset has no instructed queries")
+        raise InfoSearchError("dataset has no instructed queries")
     records: list[EvalRecord] = []
     by_dimension: dict[Dimension, list[EvalRecord]] = {dim: [] for dim in Dimension}
     originals: dict[str, tuple[RankedList, set[str]]] = {}  # core_id -> list, relevant

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .core import (CoreQuery, Dataset, Dimension, Document, InstructedQuery,
                    Mode, RankedList, RunSet, validate_dataset)
-from .errors import IntegrityViolation, MalformedLine, RankGap, ScoreOrderViolation
+from .errors import InfoSearchError
 
 
 MODE_FILES = {Mode.ORIGINAL: "original.run",
@@ -33,26 +33,21 @@ MODE_FILES = {Mode.ORIGINAL: "original.run",
 
 
 def _read_jsonl(path: Path):
+    """The stripped, non-blank lines of a UTF-8 file, with their line numbers."""
     with path.open(encoding="utf-8-sig") as fh:
         try:
             for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
-                if not line:
-                    continue
-                try:
-                    yield line_no, json.loads(line)
-                # a JSONDecodeError is a ValueError, and so is an integer
-                # over Python's digit limit; deep nesting overflows the stack
-                except (ValueError, RecursionError) as exc:
-                    raise MalformedLine(str(path), line_no, str(exc)) from exc
+                if line:
+                    yield line_no, line
         except UnicodeDecodeError as exc:
-            raise IntegrityViolation(f"{path}: not UTF-8 ({exc.reason})") from exc
+            raise InfoSearchError(f"{path}: not UTF-8 ({exc.reason})") from exc
 
 
 def _files(directory: Path, stem: str) -> list[Path]:
     hits = sorted(directory.glob(f"{stem}*.jsonl"))
     if not hits:
-        raise IntegrityViolation(f"no {stem}*.jsonl file in {directory}")
+        raise InfoSearchError(f"no {stem}*.jsonl file in {directory}")
     return hits
 
 
@@ -104,14 +99,16 @@ def _load_records(directory: Path, stem: str) -> dict:
     kind, names = _KINDS[stem]
     records = {}
     for path in _files(directory, stem):
-        for line_no, rec in _read_jsonl(path):
+        for line_no, line in _read_jsonl(path):
             try:
-                record = _decode(kind, names, rec)
-            except ValueError as exc:
-                raise MalformedLine(str(path), line_no, str(exc)) from exc
+                record = _decode(kind, names, json.loads(line))
+            # a JSONDecodeError is a ValueError, and so is an integer over
+            # Python's digit limit; deep nesting overflows the stack
+            except (ValueError, RecursionError) as exc:
+                raise InfoSearchError(f"{path}:{line_no}: malformed line: {exc}") from exc
             key = getattr(record, names[0])
             if key in records:
-                raise IntegrityViolation(f"duplicate {names[0]} {key!r}")
+                raise InfoSearchError(f"{path}:{line_no}: duplicate {names[0]} {key!r}")
             records[key] = record
     return records
 
@@ -122,7 +119,7 @@ def load_dataset(directory: str | Path) -> Dataset:
     dataset = Dataset(**{stem: _load_records(directory, stem) for stem in _KINDS})
     violations = validate_dataset(dataset)
     if violations:
-        raise IntegrityViolation("; ".join(violations))
+        raise InfoSearchError("; ".join(violations))
     return dataset
 
 
@@ -159,18 +156,18 @@ def load_run(path: str | Path, mode: Mode, score_from_rank: bool = False) -> Run
                 parts = line.split()
                 if not parts:
                     continue
-                if len(parts) != 6 or parts[1] != "Q0":
-                    raise MalformedLine(str(path), line_no, "expected 6 columns with Q0")
-                query_key, _, doc_id, rank_s, score_s, _tag = parts
                 try:
+                    if len(parts) != 6 or parts[1] != "Q0":
+                        raise ValueError("expected 6 columns with Q0")
+                    query_key, _, doc_id, rank_s, score_s, _tag = parts
                     rank = int(rank_s)
                     score = float(score_s)
+                    if rank < 1:
+                        raise ValueError("rank must be >= 1")
+                    if not math.isfinite(score):
+                        raise ValueError("non-finite score")
                 except ValueError as exc:
-                    raise MalformedLine(str(path), line_no, str(exc)) from exc
-                if rank < 1:
-                    raise MalformedLine(str(path), line_no, "rank must be >= 1")
-                if not math.isfinite(score):
-                    raise MalformedLine(str(path), line_no, "non-finite score")
+                    raise InfoSearchError(f"{path}:{line_no}: malformed line: {exc}") from exc
                 columns = per_query.get(query_key)
                 if columns is None:
                     columns = per_query[query_key] = ([], [], array("d"))
@@ -179,7 +176,7 @@ def load_run(path: str | Path, mode: Mode, score_from_rank: bool = False) -> Run
                 columns[1].append(sys.intern(doc_id))
                 columns[2].append(1.0 / rank if score_from_rank else score)
         except UnicodeDecodeError as exc:
-            raise IntegrityViolation(f"{path}: not UTF-8 ({exc.reason})") from exc
+            raise InfoSearchError(f"{path}: not UTF-8 ({exc.reason})") from exc
 
     runset = RunSet(system_id=path.stem)
     for query_key in list(per_query):
@@ -189,13 +186,16 @@ def load_run(path: str | Path, mode: Mode, score_from_rank: bool = False) -> Run
         if ranks != list(range(1, len(ranks) + 1)):
             by_rank = sorted(zip(ranks, doc_ids))
             if [rank for rank, _ in by_rank] != list(range(1, len(ranks) + 1)):
-                raise RankGap(query_key)
+                raise InfoSearchError(f"rank gap in list for {query_key!r}")
             doc_ids = [doc_id for _, doc_id in by_rank]
         # a list holds each doc_id once, so equal doc_ids mean equal scores
         if ranked.doc_ids != tuple(doc_ids):
-            raise ScoreOrderViolation(query_key, next(
-                rank for rank, (got, want) in enumerate(zip(doc_ids, ranked.doc_ids), start=1)
-                if got != want))
+            # the first rank whose doc_id differs from the score order's
+            rank = next(rank for rank, (got, want)
+                        in enumerate(zip(doc_ids, ranked.doc_ids), start=1) if got != want)
+            raise InfoSearchError(
+                f"score order contradicts rank order for {query_key!r} at rank {rank} (tied"
+                " scores rank by ascending doc_id; --score-from-rank uses the ranks alone)")
         runset.add(ranked)
     return runset
 

@@ -12,7 +12,7 @@ from infosearch_eval.bm25 import (Bm25Params, _accumulate, build_index,
 from infosearch_eval.cli import main
 from infosearch_eval.core import (CoreQuery, Dataset, Dimension, Document,
                                   InstructedQuery, Mode)
-from infosearch_eval.errors import EmptyCorpus
+from infosearch_eval.errors import InfoSearchError
 from infosearch_eval.synth import SynthSpec, gen_synthetic_dataset
 
 
@@ -104,7 +104,7 @@ def test_index_postings_share_one_pair_per_document_and_tf():
 
 
 def test_build_index_empty_corpus():
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(InfoSearchError, match="^no documents to index$"):
         build_index([])
 
 

@@ -204,8 +204,26 @@ def _append(name, line):
 
 # JSON that Python's parser rejects with ValueError and RecursionError: an
 # integer over its 4,300-digit conversion limit, and nesting deeper than its stack
-_LONG_INTEGER = _append("documents", '{"doc_id": ' + "1" * 5000 + "}")
-_DEEP_NESTING = _append("core_queries", "[" * 100_000 + "]" * 100_000)
+_LONG_INTEGER_LINE = '{"doc_id": ' + "1" * 5000 + "}"
+_DEEP_NESTING_LINE = "[" * 100_000 + "]" * 100_000
+_LONG_INTEGER = _append("documents", _LONG_INTEGER_LINE)
+_DEEP_NESTING = _append("core_queries", _DEEP_NESTING_LINE)
+
+
+def _json_error(text: str) -> str:
+    """What Python's JSON parser says of text, whose wording varies by version."""
+    try:
+        json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        return str(exc)
+    raise AssertionError("the parser accepts it")
+
+
+# each appended line follows the fixture's 20 documents and 4 core queries
+_LONG_INTEGER_ERROR = ("{dataset}/documents.jsonl:21: malformed line: "
+                       + _json_error(_LONG_INTEGER_LINE))
+_DEEP_NESTING_ERROR = ("{dataset}/core_queries.jsonl:5: malformed line: "
+                       + _json_error(_DEEP_NESTING_LINE))
 
 
 def _non_string_text(dataset_dir, runs_dir):
@@ -250,6 +268,24 @@ def _leaderboard_system(dataset_dir, runs_dir):
     (runs_dir / "anti").rename(runs_dir / "leaderboard")
 
 
+def _repeat_first(name):
+    """Repeat the first line of a dataset file as its second line."""
+    def prepare(dataset_dir, runs_dir):
+        path = dataset_dir / f"{name}.jsonl"
+        first, *rest = path.read_text().splitlines(keepends=True)
+        path.write_text(first + first + "".join(rest))
+    return prepare
+
+
+def _no_documents(dataset_dir, runs_dir):
+    (dataset_dir / "documents.jsonl").unlink()
+
+
+def _documents_not_utf8(dataset_dir, runs_dir):
+    path = dataset_dir / "documents.jsonl"
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+
+
 def _blank(*names):
     def prepare(dataset_dir, runs_dir):
         for name in names:
@@ -257,34 +293,64 @@ def _blank(*names):
     return prepare
 
 
-@pytest.mark.parametrize("argv, prepare, code", [
-    (["--k", "0", "evaluate", "{dataset}", "{runs}"], None, 2),
-    (["--wise-k", "0", "evaluate", "{dataset}", "{runs}"], None, 2),
-    (["synth", "--depth", "1"], None, 2),
-    (["synth", "--dims", "Foo"], None, 2),
-    (["synth", "--behaviors", "perfect,foo"], None, 2),
-    (["bm25-run", "{dataset}", "--k1", "-1"], None, 2),
-    (["bm25-run", "{dataset}", "--k1", "nan"], None, 2),
-    (["bm25-run", "{dataset}", "--k1", "inf"], None, 2),
-    (["bm25-run", "{dataset}", "--top-k", "0"], None, 2),
-    (["bm25-run", "{dataset}", "--top-k", "-1"], None, 2),
-    (["evaluate", "{dataset}", "{runs}"], _not_utf8, 1),
-    (["bm25-run", "{dataset}"],
-     _blank("documents", "core_queries", "instructed_queries"), 1),
-    (["evaluate", "{dataset}", "{runs}"], _blank("instructed_queries"), 1),
-    (["evaluate", "{dataset}", "{runs}"], _append("documents", "[1, 2]"), 1),
-    (["evaluate", "{dataset}", "{runs}"], _append("instructed_queries", '"x"'), 1),
-    (["bm25-run", "{dataset}"], _non_string_text, 1),
-    (["evaluate", "{dataset}", "{runs}"], _numeric_doc_ids, 1),
-    (["validate", "{dataset}"], _bom, 0),
-    (["validate", "{dataset}"], _spaced_doc_ids, 1),
-    (["bm25-run", "{dataset}"], _spaced_doc_ids, 1),
-    (["evaluate", "{dataset}", "{runs}"], _spaced_doc_ids, 1),
-    (["evaluate", "{dataset}", "{runs}"], _leaderboard_system, 2),
-    (["validate", "{dataset}"], _LONG_INTEGER, 1),
-    (["evaluate", "{dataset}", "{runs}"], _LONG_INTEGER, 1),
-    (["validate", "{dataset}"], _DEEP_NESTING, 1),
-    (["evaluate", "{dataset}", "{runs}"], _DEEP_NESTING, 1),
+# a usage error's line is argparse's; a data error's is the one on stderr, or for
+# validate the one on stdout
+USAGE, DATA = "infosearch: error: ", "error: "
+NOT_OBJECT = "malformed line: expected a JSON object"
+SPACED = "{dataset}/documents.jsonl:1: malformed line: doc_id must be one token with no whitespace"
+
+
+@pytest.mark.parametrize("argv, prepare, code, line", [
+    (["--k", "0", "evaluate", "{dataset}", "{runs}"], None, 2, USAGE + "cutoffs must be >= 1"),
+    (["--wise-k", "0", "evaluate", "{dataset}", "{runs}"], None, 2,
+     USAGE + "cutoffs must be >= 1"),
+    (["synth", "--depth", "1"], None, 2, USAGE + "run_depth must be >= conditions_per_core"),
+    (["synth", "--dims", "Foo"], None, 2, USAGE + "'Foo' is not a valid Dimension"),
+    (["synth", "--behaviors", "perfect,foo"], None, 2, USAGE + "unknown behavior 'foo'"),
+    (["bm25-run", "{dataset}", "--k1", "-1"], None, 2,
+     USAGE + "require 0 <= k1 < inf and 0 <= b <= 1"),
+    (["bm25-run", "{dataset}", "--k1", "nan"], None, 2,
+     USAGE + "require 0 <= k1 < inf and 0 <= b <= 1"),
+    (["bm25-run", "{dataset}", "--k1", "inf"], None, 2,
+     USAGE + "require 0 <= k1 < inf and 0 <= b <= 1"),
+    (["bm25-run", "{dataset}", "--top-k", "0"], None, 2, USAGE + "require --top-k >= 1"),
+    (["bm25-run", "{dataset}", "--top-k", "-1"], None, 2, USAGE + "require --top-k >= 1"),
+    (["evaluate", "{dataset}", "{runs}"], _not_utf8, 1,
+     DATA + "{runs}/random/instructed.run: not UTF-8 (invalid start byte)"),
+    (["bm25-run", "{dataset}"], _blank("documents", "core_queries", "instructed_queries"), 1,
+     DATA + "no documents to index"),
+    (["evaluate", "{dataset}", "{runs}"], _blank("instructed_queries"), 1,
+     DATA + "dataset has no instructed queries"),
+    (["evaluate", "{dataset}", "{runs}"], _append("documents", "[1, 2]"), 1,
+     DATA + "{dataset}/documents.jsonl:21: " + NOT_OBJECT),
+    (["evaluate", "{dataset}", "{runs}"], _append("instructed_queries", '"x"'), 1,
+     DATA + "{dataset}/instructed_queries.jsonl:9: " + NOT_OBJECT),
+    (["bm25-run", "{dataset}"], _non_string_text, 1,
+     DATA + "{dataset}/documents.jsonl:1: malformed line: text must be a string"),
+    (["evaluate", "{dataset}", "{runs}"], _numeric_doc_ids, 1,
+     DATA + "{dataset}/documents.jsonl:1: malformed line: doc_id must be a string"),
+    (["validate", "{dataset}"], _bom, 0, None),
+    (["validate", "{dataset}"], _spaced_doc_ids, 1, "invalid dataset: " + SPACED),
+    (["bm25-run", "{dataset}"], _spaced_doc_ids, 1, DATA + SPACED),
+    (["evaluate", "{dataset}", "{runs}"], _spaced_doc_ids, 1, DATA + SPACED),
+    (["evaluate", "{dataset}", "{runs}"], _leaderboard_system, 2,
+     DATA + "system directory name reserved for the leaderboard: {runs}/leaderboard"),
+    (["validate", "{dataset}"], _LONG_INTEGER, 1, "invalid dataset: " + _LONG_INTEGER_ERROR),
+    (["evaluate", "{dataset}", "{runs}"], _LONG_INTEGER, 1, DATA + _LONG_INTEGER_ERROR),
+    (["validate", "{dataset}"], _DEEP_NESTING, 1, "invalid dataset: " + _DEEP_NESTING_ERROR),
+    (["evaluate", "{dataset}", "{runs}"], _DEEP_NESTING, 1, DATA + _DEEP_NESTING_ERROR),
+    (["evaluate", "{dataset}", "{runs}"], _repeat_first("documents"), 1,
+     DATA + "{dataset}/documents.jsonl:2: duplicate doc_id 'audience-c000-d0'"),
+    (["validate", "{dataset}"], _repeat_first("core_queries"), 1,
+     "invalid dataset: {dataset}/core_queries.jsonl:2: duplicate core_id 'audience-c000'"),
+    (["bm25-run", "{dataset}"], _repeat_first("instructed_queries"), 1,
+     DATA + "{dataset}/instructed_queries.jsonl:2: duplicate query_id 'audience-c000-q1'"),
+    (["validate", "{dataset}"], _no_documents, 1,
+     "invalid dataset: no documents*.jsonl file in {dataset}"),
+    (["evaluate", "{dataset}", "{runs}"], _no_documents, 1,
+     DATA + "no documents*.jsonl file in {dataset}"),
+    (["evaluate", "{dataset}", "{runs}"], _documents_not_utf8, 1,
+     DATA + "{dataset}/documents.jsonl: not UTF-8 (invalid start byte)"),
 ], ids=["k", "wise-k", "synth-depth", "synth-dims", "synth-behaviors", "bm25-k1",
         "bm25-k1-nan", "bm25-k1-inf",
         "bm25-top-k-0", "bm25-top-k-negative", "run-not-utf8", "bm25-no-documents",
@@ -292,8 +358,11 @@ def _blank(*names):
         "bm25-non-string-text", "evaluate-numeric-doc-ids", "validate-dataset-bom",
         "validate-spaced-doc-ids", "bm25-spaced-doc-ids", "evaluate-spaced-doc-ids",
         "evaluate-leaderboard-system", "validate-long-integer", "evaluate-long-integer",
-        "validate-deep-nesting", "evaluate-deep-nesting"])
-def test_bad_input_exits_with_one_line(argv, prepare, code, fixture_dirs, tmp_path, capsys):
+        "validate-deep-nesting", "evaluate-deep-nesting", "evaluate-duplicate-doc-id",
+        "validate-duplicate-core-id", "bm25-duplicate-query-id", "validate-no-documents",
+        "evaluate-no-documents", "evaluate-documents-not-utf8"])
+def test_bad_input_exits_with_one_line(argv, prepare, code, line, fixture_dirs, tmp_path,
+                                       capsys):
     dataset_dir, runs_dir = fixture_dirs
     if prepare:
         prepare(dataset_dir, runs_dir)
@@ -312,15 +381,15 @@ def test_bad_input_exits_with_one_line(argv, prepare, code, fixture_dirs, tmp_pa
     err = captured.err.splitlines()
     if code == 0:
         assert err == []
-    elif code == 1 and "validate" in argv:  # validate reports a faulty dataset on stdout
+        return
+    line = line.format(dataset=dataset_dir, runs=runs_dir)
+    if code == 1 and "validate" in argv:  # validate reports a faulty dataset on stdout
         assert err == []
-        # each faulty dataset here has one line that cannot be read
-        assert re.fullmatch(r"invalid dataset: \S+\.jsonl:\d+: malformed line: .+\n",
-                            captured.out)
+        assert captured.out == line + "\n"
+    elif usage:  # argparse prints its usage line first
+        assert err[-1] == line
     else:
-        assert "error: " in err[-1]
-        if not usage:  # argparse prints its usage line first
-            assert len(err) == 1
+        assert err == [line]
     assert not out.exists()  # nothing written, not even the first behaviour
 
 

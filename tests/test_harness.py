@@ -3,7 +3,7 @@ import math
 import pytest
 
 from infosearch_eval.core import Mode, RunSet
-from infosearch_eval.errors import MissingList
+from infosearch_eval.errors import InfoSearchError
 from infosearch_eval.harness import (build_gold_contexts, evaluate_system,
                                      relevance_sets)
 from infosearch_eval.synth import SynthSpec, gen_synthetic_dataset, gen_synthetic_runs
@@ -53,13 +53,18 @@ def test_build_gold_contexts_negative_score(desk_dataset, desk_runset):
 
 def test_missing_list_error(desk_dataset, desk_runset):
     del desk_runset.lists[("c1-q0", Mode.REVERSED)]
-    with pytest.raises(MissingList):
+    with pytest.raises(InfoSearchError, match="^1 missing list\\(s\\): reversed 'c1-q0'$"):
         build_gold_contexts(desk_dataset, desk_runset)
     del desk_runset.lists[("c0", Mode.ORIGINAL)]  # shared by c0-q0 and c0-q1
-    with pytest.raises(MissingList) as caught:
+    with pytest.raises(InfoSearchError) as caught:
         build_gold_contexts(desk_dataset, desk_runset)
-    assert caught.value.gaps == [("c0", "original"), ("c1-q0", "reversed")]
     assert str(caught.value) == "2 missing list(s): original 'c0', reversed 'c1-q0'"
+    desk_runset.lists.clear()  # ten lists: the first five are named
+    with pytest.raises(InfoSearchError) as caught:
+        build_gold_contexts(desk_dataset, desk_runset)
+    assert str(caught.value) == (
+        "10 missing list(s): original 'c0', instructed 'c0-q0', reversed 'c0-q0',"
+        " instructed 'c0-q1', reversed 'c0-q1', ...")
 
 
 def test_robustness_ori_equals_ndcg_ori(desk_dataset, desk_runset):

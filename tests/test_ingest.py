@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from infosearch_eval import cli, ingest
 from infosearch_eval.bm25 import run_all_modes
 from infosearch_eval.core import Mode, RankedList, RunSet
-from infosearch_eval.errors import (DuplicateDoc, IntegrityViolation,
-                                    MalformedLine, RankGap,
-                                    ScoreOrderViolation)
+from infosearch_eval.errors import InfoSearchError
 from infosearch_eval.synth import SynthSpec, gen_synthetic_dataset, gen_synthetic_runs
+
+
+FIRST_RANK_OUT_OF_ORDER = "^score order contradicts rank order for 'q1' at rank 1 "
 
 
 def test_load_run_single_line(tmp_path):
@@ -33,35 +34,35 @@ def test_load_run_score_from_rank(tmp_path):
 def test_load_run_rank_gap(tmp_path):
     path = tmp_path / "a.run"
     path.write_text("q1 Q0 d1 1 2.0 x\nq1 Q0 d2 3 1.0 x\n")
-    with pytest.raises(RankGap):
+    with pytest.raises(InfoSearchError, match="^rank gap in list for 'q1'$"):
         ingest.load_run(path, Mode.ORIGINAL)
 
 
 def test_load_run_duplicate_doc(tmp_path):
     path = tmp_path / "a.run"
     path.write_text("q1 Q0 d1 1 2.0 x\nq1 Q0 d1 2 1.0 x\n")
-    with pytest.raises(DuplicateDoc):
+    with pytest.raises(InfoSearchError, match="^duplicate doc 'd1' in list for 'q1'$"):
         ingest.load_run(path, Mode.ORIGINAL)
 
 
 def test_load_run_malformed(tmp_path):
     path = tmp_path / "a.run"
     path.write_text("q1 d1 1 2.0 x\n")
-    with pytest.raises(MalformedLine):
+    with pytest.raises(InfoSearchError, match=":1: malformed line: expected 6 columns with Q0$"):
         ingest.load_run(path, Mode.ORIGINAL)
 
 
 def test_load_run_score_order_contradiction(tmp_path):
     path = tmp_path / "a.run"
     path.write_text("q1 Q0 d1 1 1.0 x\nq1 Q0 d2 2 5.0 x\n")
-    with pytest.raises(ScoreOrderViolation):
+    with pytest.raises(InfoSearchError, match=FIRST_RANK_OUT_OF_ORDER):
         ingest.load_run(path, Mode.ORIGINAL)
 
 
 def test_score_order_violation_names_the_first_rank_out_of_order(tmp_path):
     path = tmp_path / "a.run"
     path.write_text("q1 Q0 d0 3 5.0 x\nq1 Q0 d1 1 9.0 x\nq1 Q0 d2 2 1.0 x\n")
-    with pytest.raises(ScoreOrderViolation, match="'q1' at rank 2 .*--score-from-rank"):
+    with pytest.raises(InfoSearchError, match="'q1' at rank 2 .*--score-from-rank"):
         ingest.load_run(path, Mode.ORIGINAL)
 
 
@@ -69,7 +70,7 @@ def test_load_run_tie_in_descending_doc_id_order(tmp_path):
     # equal scores must be ranked by ascending doc_id
     path = tmp_path / "a.run"
     path.write_text("q1 Q0 d2 1 1.0 x\nq1 Q0 d1 2 1.0 x\n")
-    with pytest.raises(ScoreOrderViolation):
+    with pytest.raises(InfoSearchError, match=FIRST_RANK_OUT_OF_ORDER):
         ingest.load_run(path, Mode.ORIGINAL)
 
 
@@ -78,7 +79,7 @@ def test_load_run_duplicate_after_a_gap_is_a_duplicate(tmp_path):
     # comes first in rank order
     path = tmp_path / "a.run"
     path.write_text("q1 Q0 d1 1 3.0 x\nq1 Q0 d2 3 2.0 x\nq1 Q0 d2 4 1.0 x\n")
-    with pytest.raises(DuplicateDoc, match="'d2'"):
+    with pytest.raises(InfoSearchError, match="^duplicate doc 'd2' in list for 'q1'$"):
         ingest.load_run(path, Mode.ORIGINAL)
 
 
@@ -141,10 +142,10 @@ def _reference_lists(per_query, mode, score_from_rank):
         seen = set()
         for expected, (rank, doc_id, _) in enumerate(rows, start=1):
             if doc_id in seen:
-                raise DuplicateDoc(query_key, doc_id)
+                raise InfoSearchError(f"duplicate doc {doc_id!r} in list for {query_key!r}")
             seen.add(doc_id)
             if rank != expected:
-                raise RankGap(query_key)
+                raise InfoSearchError(f"rank gap in list for {query_key!r}")
         if score_from_rank:
             entries = [(doc_id, 1.0 / rank) for rank, doc_id, _ in rows]
         else:
@@ -152,7 +153,9 @@ def _reference_lists(per_query, mode, score_from_rank):
         ranked = RankedList(query_key, mode, entries)
         for rank, ((want, _), (got, _)) in enumerate(zip(ranked.entries, entries), start=1):
             if got != want:
-                raise ScoreOrderViolation(query_key, rank)
+                raise InfoSearchError(
+                    f"score order contradicts rank order for {query_key!r} at rank {rank} (tied"
+                    " scores rank by ascending doc_id; --score-from-rank uses the ranks alone)")
         lists[(query_key, mode)] = ranked
     return lists
 
@@ -204,8 +207,8 @@ def test_load_run_matches_rank_sort_reference(tmp_path_factory, lines, score_fro
         per_query.setdefault(query_key, []).append((rank, doc_id, score))
     try:
         expected = _reference_lists(per_query, Mode.REVERSED, score_from_rank)
-    except (DuplicateDoc, RankGap, ScoreOrderViolation) as exc:
-        with pytest.raises(type(exc)) as got:
+    except InfoSearchError as exc:
+        with pytest.raises(InfoSearchError) as got:
             ingest.load_run(path, Mode.REVERSED, score_from_rank=score_from_rank)
         assert str(got.value) == str(exc)
     else:
@@ -283,10 +286,13 @@ def test_dataset_round_trip(tmp_path, desk_dataset):
 def test_load_dataset_duplicate_doc_id(tmp_path, desk_dataset):
     ingest.write_dataset(desk_dataset, tmp_path)
     docs = tmp_path / "documents.jsonl"
-    first = docs.read_text().splitlines()[0]
-    docs.write_text(docs.read_text() + first + "\n")
-    with pytest.raises(IntegrityViolation, match=json.loads(first)["doc_id"]):
+    lines = docs.read_text().splitlines()
+    docs.write_text(docs.read_text() + lines[0] + "\n")
+    # the repeat is the appended line
+    line = f"{docs}:{len(lines) + 1}: duplicate doc_id {json.loads(lines[0])['doc_id']!r}"
+    with pytest.raises(InfoSearchError) as got:
         ingest.load_dataset(tmp_path)
+    assert str(got.value) == line
 
 
 def test_load_dataset_broken_reference(tmp_path, desk_dataset):
@@ -295,7 +301,7 @@ def test_load_dataset_broken_reference(tmp_path, desk_dataset):
     rec = json.loads(iqs.read_text().splitlines()[0])
     rec["gold_doc_id"] = "nope"
     iqs.write_text(json.dumps(rec) + "\n")
-    with pytest.raises(IntegrityViolation):
+    with pytest.raises(InfoSearchError, match="gold nope not among parent positives"):
         ingest.load_dataset(tmp_path)
 
 
@@ -361,7 +367,7 @@ def test_load_dataset_rejects_an_id_no_run_file_can_carry(tmp_path, desk_dataset
     first, *rest = path.read_text().splitlines(keepends=True)
     path.write_text(json.dumps(edit(json.loads(first))) + "\n" + "".join(rest))
     line = f"{path}:1: malformed line: {message}"
-    with pytest.raises(MalformedLine) as got:
+    with pytest.raises(InfoSearchError) as got:
         ingest.load_dataset(dataset)
     assert str(got.value) == line
     # validate reports it on stdout, evaluate on stderr, both with exit code 1
