@@ -7,14 +7,14 @@ brute-force oracle for self-verification.
 """
 
 from .core import (CoreQuery, Dataset, Dimension, Document, InstructedQuery,
-                   Mode, RankedList, RunSet, rank_of, validate_dataset)
+                   Mode, RankedList, RunSet, validate_dataset)
 from .metrics import GoldContext, MetricConfig
 from .harness import DimensionSummary, EvalRecord, evaluate_system
 
 __all__ = [
     "CoreQuery", "Dataset", "Dimension", "DimensionSummary", "Document",
     "EvalRecord", "GoldContext", "InstructedQuery", "MetricConfig", "Mode",
-    "RankedList", "RunSet", "evaluate_system", "rank_of", "validate_dataset",
+    "RankedList", "RunSet", "evaluate_system", "validate_dataset",
 ]
 
 __version__ = "0.1.0"

@@ -6,8 +6,7 @@ read it.  Ranked lists are kept in canonical form: non-increasing by score
 with ties broken by ascending doc_id, which makes every downstream metric
 reproducible bit-for-bit.  A list holds two columns and no per-entry
 object: a tuple of doc_ids, whose strings run-file ingest shares across a
-system's lists, and an array of scores.  ``rank_of`` scans the doc_ids, once
-per gold and list.
+system's lists, and an array of scores.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import neg
-from typing import Optional
 
 from .errors import InfoSearchError
 
@@ -126,14 +124,6 @@ class RankedList:
         return f"RankedList({self.query_key!r}, {self.mode.value}, {len(self.doc_ids)} entries)"
 
 
-def rank_of(ranked: RankedList, doc_id: str) -> Optional[int]:
-    """1-based rank of doc_id in the canonical list; None when absent."""
-    try:
-        return ranked.doc_ids.index(doc_id) + 1
-    except ValueError:
-        return None
-
-
 @dataclass
 class RunSet:
     system_id: str
@@ -141,9 +131,6 @@ class RunSet:
 
     def add(self, ranked: RankedList) -> None:
         self.lists[ranked.query_key, ranked.mode] = ranked
-
-    def get(self, query_key: str, mode: Mode) -> Optional[RankedList]:
-        return self.lists.get((query_key, mode))
 
 
 def validate_dataset(dataset: Dataset) -> list[str]:
@@ -171,6 +158,9 @@ def validate_dataset(dataset: Dataset) -> list[str]:
         if parent is None:
             violations.append(f"instructed query {iq.query_id}: unknown core {iq.core_id}")
             continue
+        if iq.dimension is not parent.dimension:
+            violations.append(f"instructed query {iq.query_id}: dimension {iq.dimension.value}"
+                              f" differs from core {iq.core_id}'s {parent.dimension.value}")
         if iq.gold_doc_id not in parent.positive_ids():
             violations.append(
                 f"instructed query {iq.query_id}: gold {iq.gold_doc_id} not among parent positives")

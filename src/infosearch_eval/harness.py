@@ -14,11 +14,11 @@ import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from .core import Dataset, Dimension, InstructedQuery, Mode, RankedList, RunSet, rank_of
+from .core import Dataset, Dimension, InstructedQuery, Mode, RankedList, RunSet
 from .errors import InfoSearchError
 from .metrics import (GoldContext, MetricConfig, mrr_at_1, ndcg_at_k, p_mrr_doc,
-                      robustness_at_k, sicr, sicr_indicator, wise_ideal_query,
-                      wise_per, wise_query)
+                      robustness_at_k, sicr_indicator, wise_ideal_query, wise_per,
+                      wise_query)
 
 
 @dataclass
@@ -76,25 +76,26 @@ def relevance_sets(dataset: Dataset, iq: InstructedQuery
 
 def _gold_in(ranked: RankedList, doc_id: str) -> tuple[int, float]:
     """Rank and score of doc_id in ranked; depth+1 and -inf when it is absent."""
-    rank = rank_of(ranked, doc_id)
-    if rank is None:
+    try:
+        pos = ranked.doc_ids.index(doc_id)
+    except ValueError:
         return len(ranked) + 1, float("-inf")
-    return rank, ranked.scores[rank - 1]
+    return pos + 1, ranked.scores[pos]
 
 
 def build_gold_contexts(dataset: Dataset, runset: RunSet
                         ) -> list[tuple[InstructedQuery, GoldContext,
                                         tuple[RankedList, RankedList, RankedList]]]:
     """One GoldContext per instructed query, with the query's original,
-    instructed and reversed lists.  Raises one InfoSearchError that counts
-    every missing list and names the first five."""
+    instructed and reversed lists.  Raises one InfoSearchError that names the
+    system, counts every missing list and names the first five."""
     out = []
     gaps: dict[tuple[str, str], None] = {}  # ordered, and a shared core counts once
     for iq in dataset.instructed_queries.values():
         lists = []
         for key, mode in ((iq.core_id, Mode.ORIGINAL), (iq.query_id, Mode.INSTRUCTED),
                           (iq.query_id, Mode.REVERSED)):
-            ranked = runset.get(key, mode)
+            ranked = runset.lists.get((key, mode))
             if ranked is None:
                 gaps[key, mode.value] = None
             lists.append(ranked)
@@ -107,8 +108,8 @@ def build_gold_contexts(dataset: Dataset, runset: RunSet
         out.append((iq, ctx, tuple(lists)))
     if gaps:
         named = ", ".join(f"{mode} {key!r}" for key, mode in list(gaps)[:5])
-        raise InfoSearchError(
-            f"{len(gaps)} missing list(s): {named}{', ...' if len(gaps) > 5 else ''}")
+        raise InfoSearchError(f"{runset.system_id}: {len(gaps)} missing list(s): {named}"
+                              f"{', ...' if len(gaps) > 5 else ''}")
     return out
 
 
@@ -130,12 +131,11 @@ def evaluate_system(dataset: Dataset, runset: RunSet, cfg: MetricConfig = Metric
     if not dataset.instructed_queries:
         raise InfoSearchError("dataset has no instructed queries")
     records: list[EvalRecord] = []
-    by_dimension: dict[Dimension, list[EvalRecord]] = {dim: [] for dim in Dimension}
-    originals: dict[str, tuple[RankedList, set[str]]] = {}  # core_id -> list, relevant
+    # dimension -> core_id -> (original list, its relevant set, the core's records)
+    groups: dict[Dimension, dict[str, tuple[RankedList, set[str], list[EvalRecord]]]] = {
+        dim: {} for dim in Dimension}
     for iq, ctx, (l_ori, l_ins, l_rev) in build_gold_contexts(dataset, runset):
         rel_ori, rel_ins, rel_rev = relevance_sets(dataset, iq)
-        originals[iq.core_id] = (l_ori, rel_ori)
-
         record = EvalRecord(
             query_id=iq.query_id, core_id=iq.core_id, dimension=iq.dimension, gold=ctx,
             wise_f=wise_query(ctx, cfg),
@@ -148,31 +148,28 @@ def evaluate_system(dataset: Dataset, runset: RunSet, cfg: MetricConfig = Metric
             mrr1_rev=mrr_at_1(l_rev, rel_rev) if rel_rev else None,
         )
         records.append(record)
-        by_dimension[iq.dimension].append(record)
+        groups[iq.dimension].setdefault(iq.core_id, (l_ori, rel_ori, []))[2].append(record)
 
-    rows = [_summarize(originals, cfg, dim_records, dim.value)
-            for dim, dim_records in by_dimension.items() if dim_records]
+    rows = [_summarize(cfg, cores, dim.value) for dim, cores in groups.items() if cores]
     rows.append(_overall(rows))
     return records, rows
 
 
-def _summarize(originals: dict[str, tuple[RankedList, set[str]]], cfg: MetricConfig,
-               records: list[EvalRecord], scope: str) -> DimensionSummary:
-    by_core: dict[str, list[EvalRecord]] = {}
-    for r in records:
-        by_core.setdefault(r.core_id, []).append(r)
-
+def _summarize(cfg: MetricConfig,
+               cores: dict[str, tuple[RankedList, set[str], list[EvalRecord]]],
+               scope: str) -> DimensionSummary:
     # per core query: its original list's metrics, and the robustness groups
-    # of the instruction variants sharing it; min and fsum ignore their order
-    ndcg_ori, mrr1_ori, ins_groups, rev_groups = [], [], [], []
-    for core_id, group in by_core.items():
-        l_ori, rel = originals[core_id]
+    # of the instruction variants sharing it; records come core by core, not in
+    # query order, and min and fsum ignore the order
+    ndcg_ori, mrr1_ori, ins_groups, rev_groups, records = [], [], [], [], []
+    for l_ori, rel, group in cores.values():
         ndcg_ori.append(ndcg_at_k(l_ori, rel, cfg.k_ndcg))
         mrr1_ori.append(mrr_at_1(l_ori, rel))
         ins_groups.append([r.ndcg_ins for r in group])
         rev = [r.ndcg_rev for r in group if r.ndcg_rev is not None]
         if rev:
             rev_groups.append(rev)
+        records += group
 
     wise_act = _mean(r.wise_f for r in records)
     wise_ideal = _mean(r.wise_ideal for r in records)
@@ -191,7 +188,7 @@ def _summarize(originals: dict[str, tuple[RankedList, set[str]]], cfg: MetricCon
         wise_act=wise_act,
         wise_ideal=wise_ideal,
         per=wise_per(wise_act, wise_ideal),
-        sicr=sicr(r.sicr_i for r in records),
+        sicr=_mean(r.sicr_i for r in records),
         query_count=len(records),
         degenerate_reversed=sum(1 for r in records if r.ndcg_rev is None),
     )

@@ -182,20 +182,23 @@ def load_run(path: str | Path, mode: Mode, score_from_rank: bool = False) -> Run
     for query_key in list(per_query):
         # free each query's columns as its list is made, so the two are not all held at once
         ranks, doc_ids, scores = per_query.pop(query_key)
-        ranked = RankedList(query_key, mode, list(zip(doc_ids, scores)))
-        if ranks != list(range(1, len(ranks) + 1)):
-            by_rank = sorted(zip(ranks, doc_ids))
-            if [rank for rank, _ in by_rank] != list(range(1, len(ranks) + 1)):
-                raise InfoSearchError(f"rank gap in list for {query_key!r}")
-            doc_ids = [doc_id for _, doc_id in by_rank]
-        # a list holds each doc_id once, so equal doc_ids mean equal scores
-        if ranked.doc_ids != tuple(doc_ids):
-            # the first rank whose doc_id differs from the score order's
-            rank = next(rank for rank, (got, want)
-                        in enumerate(zip(doc_ids, ranked.doc_ids), start=1) if got != want)
-            raise InfoSearchError(
-                f"score order contradicts rank order for {query_key!r} at rank {rank} (tied"
-                " scores rank by ascending doc_id; --score-from-rank uses the ranks alone)")
+        try:
+            ranked = RankedList(query_key, mode, list(zip(doc_ids, scores)))
+            if ranks != list(range(1, len(ranks) + 1)):
+                by_rank = sorted(zip(ranks, doc_ids))
+                if [rank for rank, _ in by_rank] != list(range(1, len(ranks) + 1)):
+                    raise InfoSearchError(f"rank gap in list for {query_key!r}")
+                doc_ids = [doc_id for _, doc_id in by_rank]
+            # a list holds each doc_id once, so equal doc_ids mean equal scores
+            if ranked.doc_ids != tuple(doc_ids):
+                # the first rank whose doc_id differs from the score order's
+                rank = next(rank for rank, (got, want)
+                            in enumerate(zip(doc_ids, ranked.doc_ids), start=1) if got != want)
+                raise InfoSearchError(
+                    f"score order contradicts rank order for {query_key!r} at rank {rank} (tied"
+                    " scores rank by ascending doc_id; --score-from-rank uses the ranks alone)")
+        except InfoSearchError as exc:
+            raise InfoSearchError(f"{path}: {exc}") from exc
         runset.add(ranked)
     return runset
 
@@ -234,7 +237,7 @@ def write_system(dataset: Dataset, runset: RunSet, directory: str | Path, tag: s
         keys = dataset.core_queries if mode is Mode.ORIGINAL else dataset.instructed_queries
         part = RunSet(system_id=runset.system_id)
         for key in keys:
-            ranked = runset.get(key, mode)
+            ranked = runset.lists.get((key, mode))
             if ranked is not None:
                 part.add(ranked)
         write_run(part, directory / fname, tag=tag)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import RankedList
 
@@ -86,11 +86,6 @@ def sicr_indicator(ctx: GoldContext) -> int:
     ok = (ctx.r_ins < ctx.r_ori and ctx.s_ins > ctx.s_ori
           and ctx.r_ori < ctx.r_rev and ctx.s_ori > ctx.s_rev)
     return 1 if ok else 0
-
-
-def sicr(indicators: Iterable[int]) -> float:
-    values = list(indicators)
-    return math.fsum(values) / len(values)
 
 
 def wise_reward(r_ori: int, r_ins: int, n: int, k: int) -> float:

@@ -245,7 +245,7 @@ def test_identical_texts_identical_rankings(desk_dataset):
     idx = build_index(docs, params)
     cq = desk_dataset.core_queries["c0"]
     again = search(idx, params, cq.text, 100)
-    assert tuple(again) == runset.get("c0", Mode.ORIGINAL).entries
+    assert tuple(again) == runset.lists["c0", Mode.ORIGINAL].entries
 
 
 def per_query_reference(dataset, params, top_k):

@@ -277,6 +277,15 @@ def _repeat_first(name):
     return prepare
 
 
+def _format_query_of_an_audience_core(dataset_dir, runs_dir):
+    path = dataset_dir / "instructed_queries.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for rec in records:
+        if rec["query_id"] == "audience-c000-q1":
+            rec["dimension"] = "Format"
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+
+
 def _no_documents(dataset_dir, runs_dir):
     (dataset_dir / "documents.jsonl").unlink()
 
@@ -351,6 +360,9 @@ SPACED = "{dataset}/documents.jsonl:1: malformed line: doc_id must be one token 
      DATA + "no documents*.jsonl file in {dataset}"),
     (["evaluate", "{dataset}", "{runs}"], _documents_not_utf8, 1,
      DATA + "{dataset}/documents.jsonl: not UTF-8 (invalid start byte)"),
+    (["evaluate", "{dataset}", "{runs}"], _format_query_of_an_audience_core, 1,
+     DATA + "instructed query audience-c000-q1: dimension Format differs from core"
+     " audience-c000's Audience"),
 ], ids=["k", "wise-k", "synth-depth", "synth-dims", "synth-behaviors", "bm25-k1",
         "bm25-k1-nan", "bm25-k1-inf",
         "bm25-top-k-0", "bm25-top-k-negative", "run-not-utf8", "bm25-no-documents",
@@ -360,7 +372,8 @@ SPACED = "{dataset}/documents.jsonl:1: malformed line: doc_id must be one token 
         "evaluate-leaderboard-system", "validate-long-integer", "evaluate-long-integer",
         "validate-deep-nesting", "evaluate-deep-nesting", "evaluate-duplicate-doc-id",
         "validate-duplicate-core-id", "bm25-duplicate-query-id", "validate-no-documents",
-        "evaluate-no-documents", "evaluate-documents-not-utf8"])
+        "evaluate-no-documents", "evaluate-documents-not-utf8",
+        "evaluate-dimension-other-than-the-cores"])
 def test_bad_input_exits_with_one_line(argv, prepare, code, line, fixture_dirs, tmp_path,
                                        capsys):
     dataset_dir, runs_dir = fixture_dirs

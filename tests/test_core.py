@@ -1,27 +1,28 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from infosearch_eval.core import (Dimension, Document, InstructedQuery, Mode,
-                                  RankedList, rank_of, validate_dataset)
+                                  RankedList, validate_dataset)
 from infosearch_eval.errors import InfoSearchError
 
 from conftest import make_list
 
 
 def test_rank_of_basic():
-    rl = RankedList("q", Mode.ORIGINAL, [("a", 0.9), ("b", 0.5)])
-    assert rank_of(rl, "b") == 2
-    assert rank_of(rl, "a") == 1
-    assert rank_of(rl, "c") is None
+    # a doc's rank is one plus its position in doc_ids
+    rl = RankedList("q", Mode.ORIGINAL, [("b", 0.5), ("a", 0.9)])
+    assert rl.doc_ids == ("a", "b")
+    assert list(rl.scores) == [0.9, 0.5]
+    assert "c" not in rl.doc_ids
 
 
 def test_rank_of_tie_broken_by_doc_id():
     rl = RankedList("q", Mode.ORIGINAL, [("b", 0.9), ("a", 0.9)])
-    assert rank_of(rl, "a") == 1
-    assert rank_of(rl, "b") == 2
+    assert rl.doc_ids == ("a", "b")
 
 
 def test_duplicate_doc_rejected():
@@ -37,7 +38,8 @@ def test_duplicate_doc_names_the_first_repeat_in_canonical_order():
 
 
 def test_ranked_list_keeps_no_per_entry_index():
-    # rank_of scans the doc_ids: a map per list would cost memory on every entry
+    # a gold's rank is found by scanning doc_ids: a map per list would cost
+    # memory on every entry
     rl = RankedList("q", Mode.ORIGINAL, [("b", 0.9), ("a", 0.9), ("c", 0.1)])
     assert set(vars(rl)) == {"query_key", "mode", "doc_ids", "scores"}
 
@@ -67,8 +69,8 @@ def test_canonicalization_idempotent(entries):
 @given(entries_st)
 def test_rank_of_is_bijection(entries):
     rl = RankedList("q", Mode.ORIGINAL, entries)
-    ranks = [rank_of(rl, doc_id) for doc_id, _ in rl.entries]
-    assert sorted(ranks) == list(range(1, len(rl.entries) + 1))
+    assert sorted(rl.doc_ids) == sorted(doc_id for doc_id, _ in entries)
+    assert len(set(rl.doc_ids)) == len(entries)
 
 
 @given(st.lists(st.tuples(st.integers(0, 30).map(lambda i: f"d{i:02d}"),
@@ -78,12 +80,12 @@ def test_rank_of_is_bijection(entries):
 def test_rank_of_is_the_canonical_position_on_tied_lists(entries, probe):
     rl = RankedList("q", Mode.ORIGINAL, entries)
     for doc_id, score in entries:
-        # canonical position: one plus the entries with a higher score, or an equal
-        # score and a smaller doc_id
+        # canonical position: the entries with a higher score, or an equal
+        # score and a smaller doc_id, come first
         ahead = sum(1 for d, s in entries if s > score or (s == score and d < doc_id))
-        assert rank_of(rl, doc_id) == ahead + 1
-    if probe not in dict(entries):
-        assert rank_of(rl, probe) is None
+        assert rl.doc_ids[ahead] == doc_id
+        assert rl.scores[ahead] == score
+    assert (probe in rl.doc_ids) == (probe in dict(entries))
 
 
 def test_validate_desk_dataset(desk_dataset):
@@ -111,3 +113,10 @@ def test_validate_detects_duplicate_condition(desk_dataset):
         condition="Layman", instructed_text=iq.instructed_text,
         reversed_text=iq.reversed_text, gold_doc_id=iq.gold_doc_id)
     assert any("duplicate (core_id, condition)" in v for v in validate_dataset(desk_dataset))
+
+
+def test_validate_detects_dimension_other_than_the_cores(desk_dataset):
+    iq = desk_dataset.instructed_queries["c0-q1"]
+    desk_dataset.instructed_queries["c0-q1"] = replace(iq, dimension=Dimension.FORMAT)
+    assert validate_dataset(desk_dataset) == [
+        "instructed query c0-q1: dimension Format differs from core c0's Audience"]

@@ -126,8 +126,8 @@ def _tie_in_descending_doc_id_order(lines):
 
 PERFECT = "{runs}/perfect/"
 SCORE_ORDER_AT_RANK_1 = (
-    "score order contradicts rank order for 'audience-c000-q1' at rank 1 (tied scores rank"
-    " by ascending doc_id; --score-from-rank uses the ranks alone)")
+    f"{PERFECT}instructed.run: score order contradicts rank order for 'audience-c000-q1'"
+    " at rank 1 (tied scores rank by ascending doc_id; --score-from-rank uses the ranks alone)")
 
 
 @needs_fork
@@ -135,18 +135,19 @@ SCORE_ORDER_AT_RANK_1 = (
     (_edit("instructed.run", lambda lines: lines[:2] + ["garbage"] + lines[3:]), 1,
      f"{PERFECT}instructed.run:3: malformed line: expected 6 columns with Q0"),
     (_edit("instructed.run", lambda lines: _set_column(1, 2, lines[0].split()[2])(lines)), 1,
-     "duplicate doc 'audience-c000-d1' in list for 'audience-c000-q1'"),
+     f"{PERFECT}instructed.run: duplicate doc 'audience-c000-d1' in list for 'audience-c000-q1'"),
     (_edit("instructed.run", _set_column(0, 3, "999")), 1,
-     "rank gap in list for 'audience-c000-q1'"),
+     f"{PERFECT}instructed.run: rank gap in list for 'audience-c000-q1'"),
     (_edit("instructed.run", _swap_scores), 1,
      SCORE_ORDER_AT_RANK_1),
-    (_edit("reversed.run", _drop_first_list), 1, "1 missing list(s): reversed 'audience-c000-q1'"),
+    (_edit("reversed.run", _drop_first_list), 1,
+     "perfect: 1 missing list(s): reversed 'audience-c000-q1'"),
     (_missing_file, 2, f"missing run file: {PERFECT}reversed.run"),
     (_edit("original.run", lambda lines: ["\ufeff" + lines[0]] + lines[1:]), 0, None),
     (_edit("instructed.run", lambda lines: ["\t".join(line.split()) for line in lines]), 0, None),
     (_edit("reversed.run", lambda lines: [line + "\r" for line in lines]), 0, None),
     (_edit("instructed.run", lambda lines: lines[:1] + lines), 1,
-     "duplicate doc 'audience-c000-d1' in list for 'audience-c000-q1'"),
+     f"{PERFECT}instructed.run: duplicate doc 'audience-c000-d1' in list for 'audience-c000-q1'"),
     (_edit("instructed.run", _set_column(0, 3, "0")), 1,
      f"{PERFECT}instructed.run:1: malformed line: rank must be >= 1"),
     (_edit("instructed.run", _set_column(0, 4, "nan")), 1,

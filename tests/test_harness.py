@@ -1,8 +1,11 @@
 import math
+import random
+from dataclasses import replace
+from itertools import groupby
 
 import pytest
 
-from infosearch_eval.core import Mode, RunSet
+from infosearch_eval.core import Dimension, Mode, RunSet
 from infosearch_eval.errors import InfoSearchError
 from infosearch_eval.harness import (build_gold_contexts, evaluate_system,
                                      relevance_sets)
@@ -53,17 +56,17 @@ def test_build_gold_contexts_negative_score(desk_dataset, desk_runset):
 
 def test_missing_list_error(desk_dataset, desk_runset):
     del desk_runset.lists[("c1-q0", Mode.REVERSED)]
-    with pytest.raises(InfoSearchError, match="^1 missing list\\(s\\): reversed 'c1-q0'$"):
+    with pytest.raises(InfoSearchError, match="^desk: 1 missing list\\(s\\): reversed 'c1-q0'$"):
         build_gold_contexts(desk_dataset, desk_runset)
     del desk_runset.lists[("c0", Mode.ORIGINAL)]  # shared by c0-q0 and c0-q1
     with pytest.raises(InfoSearchError) as caught:
         build_gold_contexts(desk_dataset, desk_runset)
-    assert str(caught.value) == "2 missing list(s): original 'c0', reversed 'c1-q0'"
+    assert str(caught.value) == "desk: 2 missing list(s): original 'c0', reversed 'c1-q0'"
     desk_runset.lists.clear()  # ten lists: the first five are named
     with pytest.raises(InfoSearchError) as caught:
         build_gold_contexts(desk_dataset, desk_runset)
     assert str(caught.value) == (
-        "10 missing list(s): original 'c0', instructed 'c0-q0', reversed 'c0-q0',"
+        "desk: 10 missing list(s): original 'c0', instructed 'c0-q0', reversed 'c0-q0',"
         " instructed 'c0-q1', reversed 'c0-q1', ...")
 
 
@@ -91,17 +94,39 @@ def test_sicr_flag_implies_rank_chain(desk_dataset, desk_runset):
             assert r.gold.r_ins < r.gold.r_ori < r.gold.r_rev
 
 
+def test_sicr_mean(desk_dataset, desk_runset):
+    # c1 joins Audience, and c1-q1's reversal keeps its gold on top: of the
+    # four Audience queries only c0-q1 complies
+    desk_dataset.core_queries["c1"] = replace(desk_dataset.core_queries["c1"],
+                                              dimension=Dimension.AUDIENCE)
+    for qid in ("c1-q0", "c1-q1"):
+        desk_dataset.instructed_queries[qid] = replace(desk_dataset.instructed_queries[qid],
+                                                       dimension=Dimension.AUDIENCE)
+    desk_runset.add(make_list("c1-q1", Mode.REVERSED, ["d5", "d4", "d6", "d7"]))
+    records, (row, overall) = evaluate_system(desk_dataset, desk_runset)
+    assert [r.sicr_i for r in records] == [0, 1, 0, 0]
+    assert (row.scope, row.query_count, row.sicr, overall.sicr) == ("Audience", 4, 0.25, 0.25)
+
+
 def test_aggregation_permutation_invariant():
     spec = SynthSpec(seed=11, cores_per_dim=3, conditions_per_core=2)
     ds = gen_synthetic_dataset(spec)
     rs = gen_synthetic_runs(ds, spec, "random")
     _, rows = evaluate_system(ds, rs)
 
-    shuffled = type(ds)(documents=ds.documents,
-                        core_queries=dict(reversed(list(ds.core_queries.items()))),
-                        instructed_queries=dict(reversed(list(ds.instructed_queries.items()))))
-    _, rows2 = evaluate_system(shuffled, rs)
-    assert rows[-1].as_dict() == rows2[-1].as_dict()
+    reversed_ds = type(ds)(
+        documents=ds.documents, core_queries=dict(reversed(list(ds.core_queries.items()))),
+        instructed_queries=dict(reversed(list(ds.instructed_queries.items()))))
+    queries = list(ds.instructed_queries.items())
+    random.Random(5).shuffle(queries)
+    cores = [iq.core_id for _, iq in queries]
+    assert len(list(groupby(cores))) > len(set(cores))  # some core's queries are apart
+    interleaved = type(ds)(documents=ds.documents, core_queries=ds.core_queries,
+                           instructed_queries=dict(queries))
+    for other in (reversed_ds, interleaved):
+        _, rows2 = evaluate_system(other, rs)
+        assert [(s.scope, s.as_dict(), s.query_count) for s in rows2] == [
+            (s.scope, s.as_dict(), s.query_count) for s in rows]
 
 
 def test_dropping_dimension_only_affects_that_row_and_overall():

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import sys
 import tracemalloc
 
@@ -14,35 +15,37 @@ from infosearch_eval.errors import InfoSearchError
 from infosearch_eval.synth import SynthSpec, gen_synthetic_dataset, gen_synthetic_runs
 
 
-FIRST_RANK_OUT_OF_ORDER = "^score order contradicts rank order for 'q1' at rank 1 "
+FIRST_RANK_OUT_OF_ORDER = ": score order contradicts rank order for 'q1' at rank 1 "
 
 
 def test_load_run_single_line(tmp_path):
     path = tmp_path / "a.run"
     path.write_text("q1 Q0 d3 1 12.5 bm25\n")
     rs = ingest.load_run(path, Mode.ORIGINAL)
-    assert rs.get("q1", Mode.ORIGINAL).entries == (("d3", 12.5),)
+    assert rs.lists["q1", Mode.ORIGINAL].entries == (("d3", 12.5),)
 
 
 def test_load_run_score_from_rank(tmp_path):
     path = tmp_path / "a.run"
     path.write_text("q1 Q0 d9 1 0.0 x\nq1 Q0 d4 2 0.0 x\n")
     rs = ingest.load_run(path, Mode.INSTRUCTED, score_from_rank=True)
-    assert rs.get("q1", Mode.INSTRUCTED).entries == (("d9", 1.0), ("d4", 0.5))
+    assert rs.lists["q1", Mode.INSTRUCTED].entries == (("d9", 1.0), ("d4", 0.5))
 
 
 def test_load_run_rank_gap(tmp_path):
     path = tmp_path / "a.run"
     path.write_text("q1 Q0 d1 1 2.0 x\nq1 Q0 d2 3 1.0 x\n")
-    with pytest.raises(InfoSearchError, match="^rank gap in list for 'q1'$"):
+    with pytest.raises(InfoSearchError) as got:
         ingest.load_run(path, Mode.ORIGINAL)
+    assert str(got.value) == f"{path}: rank gap in list for 'q1'"
 
 
 def test_load_run_duplicate_doc(tmp_path):
     path = tmp_path / "a.run"
     path.write_text("q1 Q0 d1 1 2.0 x\nq1 Q0 d1 2 1.0 x\n")
-    with pytest.raises(InfoSearchError, match="^duplicate doc 'd1' in list for 'q1'$"):
+    with pytest.raises(InfoSearchError) as got:
         ingest.load_run(path, Mode.ORIGINAL)
+    assert str(got.value) == f"{path}: duplicate doc 'd1' in list for 'q1'"
 
 
 def test_load_run_malformed(tmp_path):
@@ -55,7 +58,7 @@ def test_load_run_malformed(tmp_path):
 def test_load_run_score_order_contradiction(tmp_path):
     path = tmp_path / "a.run"
     path.write_text("q1 Q0 d1 1 1.0 x\nq1 Q0 d2 2 5.0 x\n")
-    with pytest.raises(InfoSearchError, match=FIRST_RANK_OUT_OF_ORDER):
+    with pytest.raises(InfoSearchError, match=f"^{re.escape(str(path))}{FIRST_RANK_OUT_OF_ORDER}"):
         ingest.load_run(path, Mode.ORIGINAL)
 
 
@@ -70,7 +73,7 @@ def test_load_run_tie_in_descending_doc_id_order(tmp_path):
     # equal scores must be ranked by ascending doc_id
     path = tmp_path / "a.run"
     path.write_text("q1 Q0 d2 1 1.0 x\nq1 Q0 d1 2 1.0 x\n")
-    with pytest.raises(InfoSearchError, match=FIRST_RANK_OUT_OF_ORDER):
+    with pytest.raises(InfoSearchError, match=f"^{re.escape(str(path))}{FIRST_RANK_OUT_OF_ORDER}"):
         ingest.load_run(path, Mode.ORIGINAL)
 
 
@@ -79,8 +82,9 @@ def test_load_run_duplicate_after_a_gap_is_a_duplicate(tmp_path):
     # comes first in rank order
     path = tmp_path / "a.run"
     path.write_text("q1 Q0 d1 1 3.0 x\nq1 Q0 d2 3 2.0 x\nq1 Q0 d2 4 1.0 x\n")
-    with pytest.raises(InfoSearchError, match="^duplicate doc 'd2' in list for 'q1'$"):
+    with pytest.raises(InfoSearchError) as got:
         ingest.load_run(path, Mode.ORIGINAL)
+    assert str(got.value) == f"{path}: duplicate doc 'd2' in list for 'q1'"
 
 
 def _strings_per_doc_id(runsets):
@@ -210,7 +214,7 @@ def test_load_run_matches_rank_sort_reference(tmp_path_factory, lines, score_fro
     except InfoSearchError as exc:
         with pytest.raises(InfoSearchError) as got:
             ingest.load_run(path, Mode.REVERSED, score_from_rank=score_from_rank)
-        assert str(got.value) == str(exc)
+        assert str(got.value) == f"{path}: {exc}"
     else:
         runset = ingest.load_run(path, Mode.REVERSED, score_from_rank=score_from_rank)
         assert runset.lists == expected

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from infosearch_eval.core import Mode, RankedList
 from infosearch_eval.metrics import (PMRR_FLIPPED, GoldContext, MetricConfig,
                                      mrr_at_1, ndcg_at_k, p_mrr_doc,
-                                     robustness_at_k, sicr, sicr_indicator,
+                                     robustness_at_k, sicr_indicator,
                                      wise_ideal_query, wise_penalty,
                                      wise_query, wise_reward)
 
@@ -134,12 +134,6 @@ def test_sicr_absent_scores_fail_strictness(desk_dataset, desk_runset):
     assert (c.r_ori, c.r_ins, c.r_rev) == (5, 2, 9)
     assert (c.s_ori, c.s_ins, c.s_rev) == (-math.inf,) * 3
     assert sicr_indicator(c) == 0
-
-
-def test_sicr_mean():
-    assert sicr([1, 0, 0, 0]) == 0.25
-    assert sicr([0, 0, 0]) == 0.0
-    assert sicr([1, 1]) == 1.0
 
 
 # --- WISE ---
