@@ -12,7 +12,8 @@ process's affinity mask and at most one per system, so ``taskset`` caps
 them; with one such CPU, or where ``fork`` is not available, it evaluates
 them one after another in this process.  Reports and errors are the same
 either way: the first faulty system in sorted order decides the exit code
-and the one error line.
+and the one error line.  The scoring options (``--k``, ``--wise-k``,
+``--p-mrr-sign``, ``--score-from-rank``) follow ``evaluate`` or ``oracle``.
 """
 
 from __future__ import annotations
@@ -185,30 +186,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="infosearch",
         description="Instruction-following retrieval evaluation toolkit.")
-    parser.add_argument("--k", type=int, default=10, help="nDCG/Robustness cutoff")
-    parser.add_argument("--wise-k", type=int, default=20, help="WISE top-K focus")
-    parser.add_argument("--p-mrr-sign", choices=[PMRR_AS_PRINTED, PMRR_FLIPPED],
-                        default=PMRR_AS_PRINTED)
-    parser.add_argument("--score-from-rank", action="store_true",
-                        help="replace run scores with 1/rank (rank-only systems)")
     sub = parser.add_subparsers(dest="command", required=True)
+    scoring = argparse.ArgumentParser(add_help=False)  # evaluate's and oracle's options
+    scoring.add_argument("--k", type=int, default=MetricConfig.k_ndcg,
+                         help="nDCG/Robustness cutoff")
+    scoring.add_argument("--wise-k", type=int, default=MetricConfig.k_wise,
+                         help="WISE top-K focus")
+    scoring.add_argument("--p-mrr-sign", choices=[PMRR_AS_PRINTED, PMRR_FLIPPED],
+                         default=MetricConfig.p_mrr_sign)
+    scoring.add_argument("--score-from-rank", action="store_true",
+                         help="replace run scores with 1/rank (rank-only systems)")
 
     p = sub.add_parser("validate", help="check dataset integrity and counts")
     p.add_argument("dataset", type=Path)
-    p.set_defaults(func=cmd_validate, configure=_config)
+    p.set_defaults(func=cmd_validate, configure=lambda args: None)
 
-    p = sub.add_parser("evaluate", help="score one run directory per system")
+    p = sub.add_parser("evaluate", parents=[scoring], help="score one run directory per system")
     p.add_argument("dataset", type=Path)
     p.add_argument("runs", type=Path)
     p.add_argument("--out", type=Path, default="reports")
     p.add_argument("--format", choices=list(report.FORMATS), default="csv")
     p.set_defaults(func=cmd_evaluate, configure=_config)
 
-    p = sub.add_parser("bm25-run", help="produce three-mode BM25 run files")
+    # spelled in full: evaluate's --k must not abbreviate --k1 here
+    p = sub.add_parser("bm25-run", allow_abbrev=False, help="produce three-mode BM25 run files")
     p.add_argument("dataset", type=Path)
     p.add_argument("--out", type=Path, default="bm25-runs")
-    p.add_argument("--k1", type=float, default=1.2)
-    p.add_argument("--b", type=float, default=0.75)
+    p.add_argument("--k1", type=float, default=bm25.Bm25Params.k1)
+    p.add_argument("--b", type=float, default=bm25.Bm25Params.b)
     p.add_argument("--top-k", type=int, default=100)
     p.set_defaults(func=cmd_bm25_run, configure=_bm25_params)
 
@@ -216,14 +221,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, default="synth-fixtures")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dims", default="all", help="comma-separated dimension names or 'all'")
-    p.add_argument("--cores", type=int, default=2)
-    p.add_argument("--conditions", type=int, default=2)
-    p.add_argument("--noise-docs", type=int, default=4)
-    p.add_argument("--depth", type=int, default=10)
+    p.add_argument("--cores", type=int, default=synth.SynthSpec.cores_per_dim)
+    p.add_argument("--conditions", type=int, default=synth.SynthSpec.conditions_per_core)
+    p.add_argument("--noise-docs", type=int, default=synth.SynthSpec.corpus_noise_docs)
+    p.add_argument("--depth", type=int, default=synth.SynthSpec.run_depth)
     p.add_argument("--behaviors", default="perfect,anti,random")
     p.set_defaults(func=cmd_synth, configure=_synth_spec)
 
-    p = sub.add_parser("oracle", help="diff harness output against the naive oracle")
+    p = sub.add_parser("oracle", parents=[scoring],
+                       help="diff harness output against the naive oracle")
     p.add_argument("dataset", type=Path)
     p.add_argument("runs", type=Path, help="one system directory with three mode files")
     p.set_defaults(func=cmd_oracle, configure=_config)

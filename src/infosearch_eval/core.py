@@ -161,9 +161,13 @@ def validate_dataset(dataset: Dataset) -> list[str]:
         if iq.dimension is not parent.dimension:
             violations.append(f"instructed query {iq.query_id}: dimension {iq.dimension.value}"
                               f" differs from core {iq.core_id}'s {parent.dimension.value}")
-        if iq.gold_doc_id not in parent.positive_ids():
+        gold_condition = dict(parent.positives).get(iq.gold_doc_id)
+        if gold_condition is None:
             violations.append(
                 f"instructed query {iq.query_id}: gold {iq.gold_doc_id} not among parent positives")
+        elif gold_condition != iq.condition:
+            violations.append(f"instructed query {iq.query_id}: condition {iq.condition} differs"
+                              f" from gold {iq.gold_doc_id}'s {gold_condition}")
         key = (iq.core_id, iq.condition)
         if key in seen_core_condition:
             violations.append(

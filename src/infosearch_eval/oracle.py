@@ -46,6 +46,14 @@ def _naive_mrr1(entries, relevant: set[str]) -> int:
     return 1 if entries[0][0] in relevant else 0
 
 
+def _reward(r_ori: int, r_ins: int, n: int, k: int) -> float:
+    if r_ori <= n and r_ins == 1:
+        return 1.0
+    if r_ori <= k:
+        return (1.0 - (r_ori - r_ins) / k) * (1.0 / math.sqrt(r_ins))
+    return 0.01
+
+
 def _avg(values: list[float]) -> float:
     return sum(values) / len(values)
 
@@ -83,12 +91,7 @@ def oracle_metrics(dataset: Dataset, runset: RunSet,
 
         # per-query weighted sensitivity value
         if r_ins <= r_ori < r_rev:
-            if r_ori <= n and r_ins == 1:
-                f_q = 1.0
-            elif r_ori <= k:
-                f_q = (1.0 - (r_ori - r_ins) / k) * (1.0 / math.sqrt(r_ins))
-            else:
-                f_q = 0.01
+            f_q = _reward(r_ori, r_ins, n, k)
         else:
             if r_rev < r_ori < r_ins:
                 f_q = -1.0
@@ -98,16 +101,7 @@ def oracle_metrics(dataset: Dataset, runset: RunSet,
                 f_q = (r_rev - r_ori) / r_ori
 
         # best achievable reward given r_ori
-        ideal = None
-        for r in range(1, r_ori + 1):
-            if r_ori <= n and r == 1:
-                candidate = 1.0
-            elif r_ori <= k:
-                candidate = (1.0 - (r_ori - r) / k) * (1.0 / math.sqrt(r))
-            else:
-                candidate = 0.01
-            if ideal is None or candidate > ideal:
-                ideal = candidate
+        ideal = max(_reward(r_ori, r, n, k) for r in range(1, r_ori + 1))
 
         # reciprocal-rank-ratio change, original vs instructed
         if r_ori > r_ins:

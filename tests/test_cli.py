@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import shlex
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from infosearch_eval import core, ingest, oracle
-from infosearch_eval.cli import main
+from infosearch_eval.cli import build_parser, main
 from infosearch_eval.core import validate_dataset
 from infosearch_eval.synth import SynthSpec, gen_synthetic_dataset
 
@@ -113,8 +114,8 @@ def test_evaluate_flipped_sign_negates_p_mrr(fixture_dirs, tmp_path):
     vals = {}
     for sign in ("as-printed", "flipped"):
         out = tmp_path / sign
-        assert main(["--p-mrr-sign", sign, "evaluate", str(dataset_dir),
-                     str(runs_dir), "--out", str(out), "--format", "structured"]) == 0
+        assert main(["evaluate", str(dataset_dir), str(runs_dir), "--p-mrr-sign", sign,
+                     "--out", str(out), "--format", "structured"]) == 0
         recs = [json.loads(ln) for ln in
                 (out / "random.jsonl").read_text().splitlines()]
         vals[sign] = [r["p_mrr"] for r in recs]
@@ -187,7 +188,7 @@ def test_score_from_rank_flag(fixture_dirs, tmp_path):
     run.write_text("\n".join(" ".join(p[:4] + ["0.0", p[5]]) for p in lines) + "\n")
     assert main(["evaluate", str(dataset_dir), str(runs_dir),
                  "--out", str(tmp_path / "no")]) == 1
-    assert main(["--score-from-rank", "evaluate", str(dataset_dir), str(runs_dir),
+    assert main(["evaluate", str(dataset_dir), str(runs_dir), "--score-from-rank",
                  "--out", str(tmp_path / "yes")]) == 0
 
 
@@ -286,6 +287,16 @@ def _format_query_of_an_audience_core(dataset_dir, runs_dir):
     path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
 
 
+def _condition_of_another_positive(dataset_dir, runs_dir):
+    # audience-c000-q1's gold audience-c000-d1 is the core's c1 positive; c0 is d0's
+    path = dataset_dir / "instructed_queries.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for rec in records:
+        if rec["query_id"] == "audience-c000-q1":
+            rec["condition"] = "c0"
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+
+
 def _no_documents(dataset_dir, runs_dir):
     (dataset_dir / "documents.jsonl").unlink()
 
@@ -310,8 +321,8 @@ SPACED = "{dataset}/documents.jsonl:1: malformed line: doc_id must be one token 
 
 
 @pytest.mark.parametrize("argv, prepare, code, line", [
-    (["--k", "0", "evaluate", "{dataset}", "{runs}"], None, 2, USAGE + "cutoffs must be >= 1"),
-    (["--wise-k", "0", "evaluate", "{dataset}", "{runs}"], None, 2,
+    (["evaluate", "{dataset}", "{runs}", "--k", "0"], None, 2, USAGE + "cutoffs must be >= 1"),
+    (["evaluate", "{dataset}", "{runs}", "--wise-k", "0"], None, 2,
      USAGE + "cutoffs must be >= 1"),
     (["synth", "--depth", "1"], None, 2, USAGE + "run_depth must be >= conditions_per_core"),
     (["synth", "--dims", "Foo"], None, 2, USAGE + "'Foo' is not a valid Dimension"),
@@ -363,6 +374,9 @@ SPACED = "{dataset}/documents.jsonl:1: malformed line: doc_id must be one token 
     (["evaluate", "{dataset}", "{runs}"], _format_query_of_an_audience_core, 1,
      DATA + "instructed query audience-c000-q1: dimension Format differs from core"
      " audience-c000's Audience"),
+    (["validate", "{dataset}"], _condition_of_another_positive, 1,
+     "invalid dataset: instructed query audience-c000-q1: condition c0 differs from gold"
+     " audience-c000-d1's c1"),
 ], ids=["k", "wise-k", "synth-depth", "synth-dims", "synth-behaviors", "bm25-k1",
         "bm25-k1-nan", "bm25-k1-inf",
         "bm25-top-k-0", "bm25-top-k-negative", "run-not-utf8", "bm25-no-documents",
@@ -373,7 +387,7 @@ SPACED = "{dataset}/documents.jsonl:1: malformed line: doc_id must be one token 
         "validate-deep-nesting", "evaluate-deep-nesting", "evaluate-duplicate-doc-id",
         "validate-duplicate-core-id", "bm25-duplicate-query-id", "validate-no-documents",
         "evaluate-no-documents", "evaluate-documents-not-utf8",
-        "evaluate-dimension-other-than-the-cores"])
+        "evaluate-dimension-other-than-the-cores", "validate-condition-other-than-the-golds"])
 def test_bad_input_exits_with_one_line(argv, prepare, code, line, fixture_dirs, tmp_path,
                                        capsys):
     dataset_dir, runs_dir = fixture_dirs
@@ -404,6 +418,54 @@ def test_bad_input_exits_with_one_line(argv, prepare, code, line, fixture_dirs, 
     else:
         assert err == [line]
     assert not out.exists()  # nothing written, not even the first behaviour
+
+
+SCORING_OPTIONS = {"k": ["--k", "5"], "wise-k": ["--wise-k", "5"],
+                   "p-mrr-sign": ["--p-mrr-sign", "flipped"],
+                   "score-from-rank": ["--score-from-rank"]}
+COMMANDS = {"validate": ["validate", "{dataset}"],
+            "evaluate": ["evaluate", "{dataset}", "{runs}", "--out", "{out}"],
+            "bm25-run": ["bm25-run", "{dataset}", "--out", "{out}"],
+            "synth": ["synth", "--out", "{out}"],
+            "oracle": ["oracle", "{dataset}", "{runs}/random"]}
+
+
+@pytest.mark.parametrize("option", SCORING_OPTIONS.values(), ids=list(SCORING_OPTIONS))
+@pytest.mark.parametrize("command", list(COMMANDS))
+@pytest.mark.parametrize("before", [False, True], ids=["after-command", "before-command"])
+def test_scoring_options_belong_to_evaluate_and_oracle(before, command, option, fixture_dirs,
+                                                       tmp_path, capsys):
+    dataset_dir, runs_dir = fixture_dirs
+    out = tmp_path / "out"
+    argv = [a.format(dataset=dataset_dir, runs=runs_dir, out=out) for a in COMMANDS[command]]
+    argv = option + argv if before else argv + option
+    capsys.readouterr()
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        rc = exc.code
+    err = capsys.readouterr().err.splitlines()
+    if command in ("evaluate", "oracle") and not before:
+        assert (rc, err) == (0, [])
+        return
+    assert rc == 2
+    assert err[-1].startswith(USAGE)
+    if not before:  # before the command, argparse takes an option's value for the command
+        assert err[-1] == USAGE + "unrecognized arguments: " + " ".join(option)
+    assert not out.exists()
+
+
+def test_readme_names_only_existing_options():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    prose = re.sub(r"```.*?```", "", readme, flags=re.S)
+    named = {option for span in re.findall(r"`([^`]+)`", prose)
+             for option in re.findall(r"(?<![\w-])--[a-z][\w-]*", span)}
+    subparsers, = (action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+    known = {option for parser in subparsers.choices.values()
+             for option in parser._option_string_actions}
+    assert {"--k", "--score-from-rank", "--top-k"} <= named
+    assert sorted(named - known) == []
 
 
 # the one-decimal leaderboard of the quick start; the structured format's

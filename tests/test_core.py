@@ -120,3 +120,13 @@ def test_validate_detects_dimension_other_than_the_cores(desk_dataset):
     desk_dataset.instructed_queries["c0-q1"] = replace(iq, dimension=Dimension.FORMAT)
     assert validate_dataset(desk_dataset) == [
         "instructed query c0-q1: dimension Format differs from core c0's Audience"]
+
+
+def test_validate_detects_condition_other_than_the_golds(desk_dataset):
+    # the two queries of c0 swap conditions, so each (core_id, condition) stays unique
+    for query_id, condition in (("c0-q0", "Expert"), ("c0-q1", "Layman")):
+        iq = desk_dataset.instructed_queries[query_id]
+        desk_dataset.instructed_queries[query_id] = replace(iq, condition=condition)
+    assert validate_dataset(desk_dataset) == [
+        "instructed query c0-q0: condition Expert differs from gold d0's Layman",
+        "instructed query c0-q1: condition Layman differs from gold d1's Expert"]
