@@ -6,8 +6,14 @@ groups runs of Unicode letters/digits, and emits CJK codepoints as
 single-character tokens (the corpus contains Chinese documents).
 
 An instructed or reversed query is usually its core query's text followed by
-the instruction, so ``run_all_modes`` accumulates each core query's postings
-once and passes them to ``search`` as ``base`` for the core's own queries.
+the instruction, so ``run_all_modes`` ranks each core query once, with
+``core_base``, and passes the result to ``search`` as ``base`` for the core's
+own queries: its tokens, its score for every document, and its top, the
+documents at or above its top_k-th best score.  A query that begins with
+those tokens scores only the documents that its other tokens touch, and ranks
+them together with the rest of the core's top.  Scores only grow beyond the
+core's, so an untouched document below the core's top_k-th score cannot enter
+the top; every score is the same float either way, so run files are unchanged.
 
 The index holds one ``(ordinal, tf)`` pair per document and distinct term
 frequency, shared by the postings of every term with that frequency in that
@@ -98,9 +104,13 @@ def build_index(documents: list[Document], params: Bm25Params = Bm25Params()) ->
 
 
 def _accumulate(index: InvertedIndex, terms: list[str],
-                scores: dict[int, float]) -> dict[int, float]:
-    """Add each term's BM25 contributions to ``scores``, in term order."""
+                start: list[float]) -> dict[int, float]:
+    """Scores of the documents that the terms' postings touch: each starts
+    from its score in ``start``, indexed by ordinal, and adds the terms'
+    contributions in term order."""
     norms, k1_plus_1 = index.norms, index.params.k1 + 1.0
+    scores: dict[int, float] = {}
+    get = scores.get
     for term in terms:
         plist = index.postings.get(term)
         if plist is None:
@@ -109,44 +119,75 @@ def _accumulate(index: InvertedIndex, terms: list[str],
         for ordinal, tf in plist:
             # the operations of idf * tf * (k1 + 1.0) / (tf + norm), in that order
             score = idf * tf * k1_plus_1 / (tf + norms[ordinal])
-            scores[ordinal] = scores.get(ordinal, 0.0) + score
+            scores[ordinal] = get(ordinal, start[ordinal]) + score
     return scores
 
 
+def _top(index: InvertedIndex, scores: dict[int, float],
+         top_k: int) -> list[tuple[float, str, int]]:
+    """``(-score, doc_id, ordinal)`` of every document in ``scores`` at or
+    above the top_k-th best score among them, unsorted."""
+    cutoff = heapq.nlargest(top_k, scores.values())[-1] if len(scores) > top_k else 0.0
+    doc_ids = index.doc_ids
+    return [(-score, doc_ids[ordinal], ordinal)
+            for ordinal, score in scores.items() if score >= cutoff]
+
+
+# (tokens, score per ordinal, top): see core_base
+Base = tuple[list[str], list[float], list[tuple[float, str, int]]]
+
+
+def core_base(index: InvertedIndex, tokens: list[str], top_k: int) -> Base:
+    """``search``'s base for the queries that begin with ``tokens``.
+
+    It holds the tokens, each document's score for them (0.0 where none
+    matches), and their top: ``(-score, doc_id, ordinal)`` of every document
+    at or above their top_k-th best score, sorted once here, so that each
+    search sorts it as one run.
+    """
+    scores = [0.0] * index.doc_count
+    matched = _accumulate(index, tokens, scores)
+    for ordinal, score in matched.items():
+        scores[ordinal] = score
+    return tokens, scores, sorted(_top(index, matched, top_k))
+
+
 def search(index: InvertedIndex, params: Bm25Params, query_text: str, top_k: int,
-           base: tuple[list[str], dict[int, float]] | None = None) -> list[tuple[str, float]]:
+           base: Base | None = None) -> list[tuple[str, float]]:
     """Top-k (doc_id, score) pairs, ties broken by ascending doc_id.
 
     Only documents in the query terms' postings are scored; when fewer than
     top_k match, the list is filled with 0.0-scored documents in doc_id order.
 
-    ``base`` is ``(tokens, scores)``: the tokens of an earlier query and the
-    scores their postings gave, as ``run_all_modes`` builds them.  When this
-    query's tokens begin with ``tokens``, scoring starts from a copy of
-    ``scores`` and adds only the tokens after them; otherwise it starts from
-    nothing.  Either way each document's score is the same sum, added in the
-    same order, so the result does not depend on ``base``, and ``scores``
-    is not changed.
+    ``base`` is what ``core_base`` made for an earlier query at the same
+    top_k.  When this query's tokens begin with the base's tokens, only the
+    documents that the remaining tokens' postings touch are scored: each
+    starts from its base score and adds the remaining terms in order, so
+    every score is the same float as a search without a base gives.  They
+    are ranked together with the base's top, less the touched documents.
+    Scores only grow beyond the base's, so an untouched document below the
+    base's top_k-th score cannot enter the top.  The result does not depend
+    on ``base``, and ``base`` is not changed.
     """
     if params != index.params:
         raise ValueError(f"index was built with {index.params}, not {params}")
     if top_k < 1:
         raise ValueError("require top_k >= 1")
     terms = tokenize(query_text)
-    start, scores = 0, {}
-    if base is not None and terms[:len(base[0])] == base[0]:
-        start, scores = len(base[0]), dict(base[1])
-    scores = _accumulate(index, terms[start:], scores)
-    # every idf is positive, so a matched document scores above 0.0; only
-    # those at or above the top_k-th best score are sorted
-    cutoff = heapq.nlargest(top_k, scores.values())[-1] if len(scores) > top_k else 0.0
-    doc_ids = index.doc_ids
-    top = sorted((-score, doc_ids[ordinal])
-                 for ordinal, score in scores.items() if score >= cutoff)
-    hits = [(doc_id, -neg) for neg, doc_id in top[:top_k]]
+    if base is None or terms[:len(base[0])] != base[0]:
+        base = [], [0.0] * index.doc_count, []
+    tokens, base_scores, base_top = base
+    touched = _accumulate(index, terms[len(tokens):], base_scores)
+    ranked = [entry for entry in base_top if entry[2] not in touched]
+    ranked += _top(index, touched, top_k)
+    ranked.sort()
+    hits = [(doc_id, -neg) for neg, doc_id, _ in ranked[:top_k]]
     if len(hits) < top_k:
-        unmatched = (o for o in index.by_doc_id if o not in scores)
-        hits += [(doc_ids[o], 0.0) for o in islice(unmatched, top_k - len(hits))]
+        # every matched document is ranked: the base's top holds all those
+        # it matched, and _top keeps every touched one
+        matched = {ordinal for _, _, ordinal in ranked}
+        unmatched = (o for o in index.by_doc_id if o not in matched)
+        hits += [(index.doc_ids[o], 0.0) for o in islice(unmatched, top_k - len(hits))]
     return hits
 
 
@@ -168,8 +209,7 @@ def run_all_modes(dataset: Dataset, params: Bm25Params = Bm25Params(),
         base = None
         cq = dataset.core_queries.get(core_id)
         if cq is not None:
-            tokens = tokenize(cq.text)
-            base = (tokens, _accumulate(index, tokens, {}))
+            base = core_base(index, tokenize(cq.text), top_k)
             runset.add(RankedList(core_id, Mode.ORIGINAL,
                                   search(index, params, cq.text, top_k, base)))
         for iq in iqs:

@@ -234,6 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("runs", type=Path, help="one system directory with three mode files")
     p.set_defaults(func=cmd_oracle, configure=_config)
 
+    parser.set_defaults(commands=sub.choices)  # each command's own parser
     return parser
 
 
@@ -244,7 +245,8 @@ def main(argv=None) -> int:
         # the options' own objects check their ranges: a bad value is a usage error
         args.settings = args.configure(args)
     except ValueError as exc:
-        parser.error(str(exc))
+        # named by the command's parser, as argparse names its own errors
+        args.commands[args.command].error(str(exc))
     try:
         return args.func(args)
     except (InfoSearchError, OSError) as exc:

@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 import tracemalloc
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infosearch_eval import ingest
-from infosearch_eval.bm25 import (Bm25Params, _accumulate, build_index,
-                                  run_all_modes, search, tokenize)
+from infosearch_eval.bm25 import (Bm25Params, build_index, core_base, run_all_modes,
+                                  search, tokenize)
 from infosearch_eval.cli import main
 from infosearch_eval.core import (CoreQuery, Dataset, Dimension, Document,
                                   InstructedQuery, Mode)
@@ -361,9 +362,51 @@ def test_bm25_run_writes_each_file_in_dataset_order(tmp_path):
 def test_search_with_base_leaves_base_unchanged():
     params = Bm25Params()
     idx = build_index([doc(f"d{i}", text) for i, text in enumerate(PREFIX_DOCS)], params)
-    tokens = tokenize("foo bar")
-    base = (tokens, _accumulate(idx, tokens, {}))
-    before = (list(base[0]), list(base[1].items()))
+    base = core_base(idx, tokenize("foo bar"), 5)
+    before = copy.deepcopy(base)
     for text in ("foo bar x y", "foo bar", "foobar", "x"):
         assert search(idx, params, text, 5, base) == search(idx, params, text, 5)
-    assert (base[0], list(base[1].items())) == before
+    assert base == before
+
+
+def search_from_core(docs, core, query, top_k):
+    """search with the core's base, after checking it against the brute-force
+    ranking and a search without a base; also returns the core's top doc_ids."""
+    params = Bm25Params()
+    idx = build_index(docs, params)
+    base = core_base(idx, tokenize(core), top_k)
+    hits = search(idx, params, query, top_k, base)
+    expected = brute_force_rank(docs, params, query)[:top_k]
+    assert hits == search(idx, params, query, top_k) == expected
+    assert search(idx, params, core, top_k, base) == brute_force_rank(docs, params, core)[:top_k]
+    return hits, [doc_id for _, doc_id, _ in base[2]]
+
+
+def test_base_touched_document_rises_into_the_top():
+    docs = [doc(d, t) for d, t in [("d0", "a a a"), ("d1", "a a b"), ("d2", "a b b"),
+                                   ("d3", "a x x"), ("d4", "x y")]]
+    hits, core_top = search_from_core(docs, "a", "a b", 2)
+    assert core_top == ["d0", "d1"]
+    # d2 was below the core's cutoff; b touches d1 in the core's top too
+    assert [d for d, _ in hits] == ["d2", "d1"]
+
+
+def test_base_tie_at_the_cutoff_is_broken_by_doc_id():
+    # d1, d2 and d3 tie for the core's 2nd score, and are indexed out of doc_id order
+    docs = [doc(d, t) for d, t in [("d0", "a a"), ("d3", "a q"), ("d1", "a z"),
+                                   ("d2", "a z"), ("d4", "z z")]]
+    hits, core_top = search_from_core(docs, "a", "a q", 3)
+    assert core_top == ["d0", "d1", "d2", "d3"]
+    # d3 rises; the tie of d1 and d2 is cut after d1
+    assert [d for d, _ in hits] == ["d3", "d0", "d1"]
+
+
+def test_base_with_fewer_matches_than_top_k():
+    docs = [doc(d, t) for d, t in [("d0", "x"), ("d1", "a a b"), ("d2", "a y"), ("d3", "z"),
+                                   ("d4", "b y y y"), ("d5", "y")]]
+    hits, core_top = search_from_core(docs, "a", "a b", 5)
+    assert core_top == ["d1", "d2"]
+    # b touches d1 again and d4, which scores below every document of the
+    # core's top; the zero-score fill follows in doc_id order
+    assert [d for d, _ in hits] == ["d1", "d2", "d4", "d0", "d3"]
+    assert [score for _, score in hits[3:]] == [0.0, 0.0]

@@ -313,28 +313,30 @@ def _blank(*names):
     return prepare
 
 
-# a usage error's line is argparse's; a data error's is the one on stderr, or for
-# validate the one on stdout
+# a usage error's line is argparse's, named by the parser that reports it; a data
+# error's is the one on stderr, or for validate the one on stdout
 USAGE, DATA = "infosearch: error: ", "error: "
+EVALUATE, SYNTH, BM25_RUN = (f"infosearch {command}: error: "
+                             for command in ("evaluate", "synth", "bm25-run"))
 NOT_OBJECT = "malformed line: expected a JSON object"
 SPACED = "{dataset}/documents.jsonl:1: malformed line: doc_id must be one token with no whitespace"
 
 
 @pytest.mark.parametrize("argv, prepare, code, line", [
-    (["evaluate", "{dataset}", "{runs}", "--k", "0"], None, 2, USAGE + "cutoffs must be >= 1"),
+    (["evaluate", "{dataset}", "{runs}", "--k", "0"], None, 2, EVALUATE + "cutoffs must be >= 1"),
     (["evaluate", "{dataset}", "{runs}", "--wise-k", "0"], None, 2,
-     USAGE + "cutoffs must be >= 1"),
-    (["synth", "--depth", "1"], None, 2, USAGE + "run_depth must be >= conditions_per_core"),
-    (["synth", "--dims", "Foo"], None, 2, USAGE + "'Foo' is not a valid Dimension"),
-    (["synth", "--behaviors", "perfect,foo"], None, 2, USAGE + "unknown behavior 'foo'"),
+     EVALUATE + "cutoffs must be >= 1"),
+    (["synth", "--depth", "1"], None, 2, SYNTH + "run_depth must be >= conditions_per_core"),
+    (["synth", "--dims", "Foo"], None, 2, SYNTH + "'Foo' is not a valid Dimension"),
+    (["synth", "--behaviors", "perfect,foo"], None, 2, SYNTH + "unknown behavior 'foo'"),
     (["bm25-run", "{dataset}", "--k1", "-1"], None, 2,
-     USAGE + "require 0 <= k1 < inf and 0 <= b <= 1"),
+     BM25_RUN + "require 0 <= k1 < inf and 0 <= b <= 1"),
     (["bm25-run", "{dataset}", "--k1", "nan"], None, 2,
-     USAGE + "require 0 <= k1 < inf and 0 <= b <= 1"),
+     BM25_RUN + "require 0 <= k1 < inf and 0 <= b <= 1"),
     (["bm25-run", "{dataset}", "--k1", "inf"], None, 2,
-     USAGE + "require 0 <= k1 < inf and 0 <= b <= 1"),
-    (["bm25-run", "{dataset}", "--top-k", "0"], None, 2, USAGE + "require --top-k >= 1"),
-    (["bm25-run", "{dataset}", "--top-k", "-1"], None, 2, USAGE + "require --top-k >= 1"),
+     BM25_RUN + "require 0 <= k1 < inf and 0 <= b <= 1"),
+    (["bm25-run", "{dataset}", "--top-k", "0"], None, 2, BM25_RUN + "require --top-k >= 1"),
+    (["bm25-run", "{dataset}", "--top-k", "-1"], None, 2, BM25_RUN + "require --top-k >= 1"),
     (["evaluate", "{dataset}", "{runs}"], _not_utf8, 1,
      DATA + "{runs}/random/instructed.run: not UTF-8 (invalid start byte)"),
     (["bm25-run", "{dataset}"], _blank("documents", "core_queries", "instructed_queries"), 1,
