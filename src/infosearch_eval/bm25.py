@@ -8,12 +8,11 @@ single-character tokens (the corpus contains Chinese documents).
 An instructed or reversed query is usually its core query's text followed by
 the instruction, so ``run_all_modes`` ranks each core query once, with
 ``core_base``, and passes the result to ``search`` as ``base`` for the core's
-own queries: its tokens, its score for every document, and its top, the
-documents at or above its top_k-th best score.  A query that begins with
-those tokens scores only the documents that its other tokens touch, and ranks
-them together with the rest of the core's top.  Scores only grow beyond the
-core's, so an untouched document below the core's top_k-th score cannot enter
-the top; every score is the same float either way, so run files are unchanged.
+own queries.  A search at the base's top_k whose query begins with the base's
+tokens scores only the documents that its other tokens touch; any other
+search starts from the base of no tokens.  Scores only grow beyond the core's,
+so an untouched document below the core's top_k-th score cannot enter the
+top; every score is the same float either way, so run files are unchanged.
 
 The index holds one ``(ordinal, tf)`` pair per document and distinct term
 frequency, shared by the postings of every term with that frequency in that
@@ -133,23 +132,25 @@ def _top(index: InvertedIndex, scores: dict[int, float],
             for ordinal, score in scores.items() if score >= cutoff]
 
 
-# (tokens, score per ordinal, top): see core_base
-Base = tuple[list[str], list[float], list[tuple[float, str, int]]]
+# (tokens, score per ordinal, top, top_k): see core_base
+Base = tuple[list[str], list[float], list[tuple[float, str, int]], int]
 
 
 def core_base(index: InvertedIndex, tokens: list[str], top_k: int) -> Base:
-    """``search``'s base for the queries that begin with ``tokens``.
+    """``search``'s base for the queries at ``top_k`` that begin with ``tokens``.
 
     It holds the tokens, each document's score for them (0.0 where none
-    matches), and their top: ``(-score, doc_id, ordinal)`` of every document
-    at or above their top_k-th best score, sorted once here, so that each
-    search sorts it as one run.
+    matches), their top: ``(-score, doc_id, ordinal)`` of every document at
+    or above their top_k-th best score, sorted once here, so that each
+    search sorts it as one run; and top_k.
     """
+    if top_k < 1:
+        raise ValueError("require top_k >= 1")
     scores = [0.0] * index.doc_count
     matched = _accumulate(index, tokens, scores)
     for ordinal, score in matched.items():
         scores[ordinal] = score
-    return tokens, scores, sorted(_top(index, matched, top_k))
+    return tokens, scores, sorted(_top(index, matched, top_k)), top_k
 
 
 def search(index: InvertedIndex, params: Bm25Params, query_text: str, top_k: int,
@@ -159,24 +160,22 @@ def search(index: InvertedIndex, params: Bm25Params, query_text: str, top_k: int
     Only documents in the query terms' postings are scored; when fewer than
     top_k match, the list is filled with 0.0-scored documents in doc_id order.
 
-    ``base`` is what ``core_base`` made for an earlier query at the same
-    top_k.  When this query's tokens begin with the base's tokens, only the
-    documents that the remaining tokens' postings touch are scored: each
-    starts from its base score and adds the remaining terms in order, so
-    every score is the same float as a search without a base gives.  They
-    are ranked together with the base's top, less the touched documents.
-    Scores only grow beyond the base's, so an untouched document below the
-    base's top_k-th score cannot enter the top.  The result does not depend
-    on ``base``, and ``base`` is not changed.
+    ``base`` is used only when ``core_base`` made it at this top_k and this
+    query's tokens begin with its tokens; otherwise the search starts from
+    ``core_base(index, [], top_k)``.  Only the documents that the remaining
+    tokens' postings touch are scored: each starts from its base score and
+    adds the remaining terms in order, so every score is the same float as a
+    search without a base gives.  They are ranked together with the base's
+    top, less the touched documents.  Scores only grow beyond the base's, so
+    an untouched document below the base's top_k-th score cannot enter the
+    top.  The result does not depend on ``base``, and ``base`` is not changed.
     """
     if params != index.params:
         raise ValueError(f"index was built with {index.params}, not {params}")
-    if top_k < 1:
-        raise ValueError("require top_k >= 1")
     terms = tokenize(query_text)
-    if base is None or terms[:len(base[0])] != base[0]:
-        base = [], [0.0] * index.doc_count, []
-    tokens, base_scores, base_top = base
+    if base is None or base[3] != top_k or terms[:len(base[0])] != base[0]:
+        base = core_base(index, [], top_k)
+    tokens, base_scores, base_top, _ = base
     touched = _accumulate(index, terms[len(tokens):], base_scores)
     ranked = [entry for entry in base_top if entry[2] not in touched]
     ranked += _top(index, touched, top_k)
@@ -191,8 +190,7 @@ def search(index: InvertedIndex, params: Bm25Params, query_text: str, top_k: int
     return hits
 
 
-def run_all_modes(dataset: Dataset, params: Bm25Params = Bm25Params(),
-                  top_k: int = 100) -> RunSet:
+def run_all_modes(dataset: Dataset, params: Bm25Params, top_k: int) -> RunSet:
     """Retrieve for every core/instructed/reversed query over the full corpus.
 
     Queries are searched core by core, so one core's ``base`` is alive at a

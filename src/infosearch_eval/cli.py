@@ -41,25 +41,19 @@ def _bm25_params(args) -> bm25.Bm25Params:
     return bm25.Bm25Params(k1=args.k1, b=args.b)
 
 
-def _synth_spec(args) -> synth.SynthSpec:
-    for behavior in args.behaviors.split(","):
+def _synth_spec(args) -> tuple[synth.SynthSpec, list[str]]:
+    behaviors = args.behaviors.split(",")
+    for behavior in behaviors:
         if behavior not in synth.BEHAVIORS:
             raise ValueError(f"unknown behavior {behavior!r}")
     dims = (tuple(Dimension) if args.dims == "all"
             else tuple(Dimension(name) for name in args.dims.split(",")))
     return synth.SynthSpec(seed=args.seed, dims=dims, cores_per_dim=args.cores,
                            conditions_per_core=args.conditions,
-                           corpus_noise_docs=args.noise_docs, run_depth=args.depth)
-
-
-def _require_dirs(*paths: Path) -> None:
-    for path in paths:
-        if not path.is_dir():
-            raise NotADirectoryError(f"no such directory: {path}")
+                           corpus_noise_docs=args.noise_docs, run_depth=args.depth), behaviors
 
 
 def cmd_validate(args) -> int:
-    _require_dirs(args.dataset)
     try:
         dataset = ingest.load_dataset(args.dataset)
     except InfoSearchError as exc:
@@ -125,9 +119,8 @@ def _evaluate_all(dataset: Dataset, system_dirs: list[Path], cfg: MetricConfig,
 
 
 def cmd_evaluate(args) -> int:
-    _require_dirs(args.dataset, args.runs)
     dataset = ingest.load_dataset(args.dataset)
-    system_dirs = sorted(p for p in args.runs.iterdir() if p.is_dir())
+    system_dirs = sorted(p for p in ingest.existing_dir(args.runs).iterdir() if p.is_dir())
     if not system_dirs:
         raise FileNotFoundError("no system subdirectories in runs directory")
     if args.runs / "leaderboard" in system_dirs:  # its report would be the leaderboard's file
@@ -147,19 +140,18 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_bm25_run(args) -> int:
-    _require_dirs(args.dataset)
     dataset = ingest.load_dataset(args.dataset)
-    runset = bm25.run_all_modes(dataset, args.settings, top_k=args.top_k)
+    runset = bm25.run_all_modes(dataset, args.settings, args.top_k)
     ingest.write_system(dataset, runset, args.out, tag="bm25")
     print(f"wrote BM25 runs ({len(runset.lists)} lists) to {args.out}")
     return 0
 
 
 def cmd_synth(args) -> int:
-    out_dir, spec = args.out, args.settings
+    out_dir, (spec, behaviors) = args.out, args.settings
     dataset = synth.gen_synthetic_dataset(spec)
     ingest.write_dataset(dataset, out_dir / "dataset")
-    for behavior in args.behaviors.split(","):
+    for behavior in behaviors:
         runset = synth.gen_synthetic_runs(dataset, spec, behavior)
         ingest.write_system(dataset, runset, out_dir / "runs" / behavior, tag=behavior)
     print(f"wrote synthetic fixtures to {out_dir}")
@@ -167,7 +159,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    _require_dirs(args.dataset, args.runs)
     dataset = ingest.load_dataset(args.dataset)
     if len(dataset.instructed_queries) > oracle.MAX_ORACLE_QUERIES:
         raise InfoSearchError(f"oracle input exceeds {oracle.MAX_ORACLE_QUERIES} queries")
@@ -184,7 +175,7 @@ def cmd_oracle(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="infosearch",
+        prog="infosearch", allow_abbrev=False,
         description="Instruction-following retrieval evaluation toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
     scoring = argparse.ArgumentParser(add_help=False)  # evaluate's and oracle's options
@@ -197,18 +188,18 @@ def build_parser() -> argparse.ArgumentParser:
     scoring.add_argument("--score-from-rank", action="store_true",
                          help="replace run scores with 1/rank (rank-only systems)")
 
-    p = sub.add_parser("validate", help="check dataset integrity and counts")
+    p = sub.add_parser("validate", allow_abbrev=False, help="check dataset integrity and counts")
     p.add_argument("dataset", type=Path)
     p.set_defaults(func=cmd_validate, configure=lambda args: None)
 
-    p = sub.add_parser("evaluate", parents=[scoring], help="score one run directory per system")
+    p = sub.add_parser("evaluate", parents=[scoring], allow_abbrev=False,
+                       help="score one run directory per system")
     p.add_argument("dataset", type=Path)
     p.add_argument("runs", type=Path)
     p.add_argument("--out", type=Path, default="reports")
     p.add_argument("--format", choices=list(report.FORMATS), default="csv")
     p.set_defaults(func=cmd_evaluate, configure=_config)
 
-    # spelled in full: evaluate's --k must not abbreviate --k1 here
     p = sub.add_parser("bm25-run", allow_abbrev=False, help="produce three-mode BM25 run files")
     p.add_argument("dataset", type=Path)
     p.add_argument("--out", type=Path, default="bm25-runs")
@@ -217,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-k", type=int, default=100)
     p.set_defaults(func=cmd_bm25_run, configure=_bm25_params)
 
-    p = sub.add_parser("synth", help="generate seeded synthetic fixtures")
+    p = sub.add_parser("synth", allow_abbrev=False, help="generate seeded synthetic fixtures")
     p.add_argument("--out", type=Path, default="synth-fixtures")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dims", default="all", help="comma-separated dimension names or 'all'")
@@ -228,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--behaviors", default="perfect,anti,random")
     p.set_defaults(func=cmd_synth, configure=_synth_spec)
 
-    p = sub.add_parser("oracle", parents=[scoring],
+    p = sub.add_parser("oracle", parents=[scoring], allow_abbrev=False,
                        help="diff harness output against the naive oracle")
     p.add_argument("dataset", type=Path)
     p.add_argument("runs", type=Path, help="one system directory with three mode files")

@@ -113,13 +113,9 @@ def build_gold_contexts(dataset: Dataset, runset: RunSet
     return out
 
 
-def _mean(values) -> float:
+def _mean(values) -> Optional[float]:
+    """Mean of the values that are not None; None when none is left."""
     # fsum is exactly rounded, so aggregation is permutation-invariant
-    values = list(values)
-    return math.fsum(values) / len(values)
-
-
-def _mean_or_none(values) -> Optional[float]:
     values = [v for v in values if v is not None]
     return math.fsum(values) / len(values) if values else None
 
@@ -177,10 +173,10 @@ def _summarize(cfg: MetricConfig,
         scope=scope,
         ndcg_ori=_mean(ndcg_ori),
         ndcg_ins=_mean(r.ndcg_ins for r in records),
-        ndcg_rev=_mean_or_none(r.ndcg_rev for r in records),
+        ndcg_rev=_mean(r.ndcg_rev for r in records),
         mrr1_ori=_mean(mrr1_ori),
         mrr1_ins=_mean(r.mrr1_ins for r in records),
-        mrr1_rev=_mean_or_none(r.mrr1_rev for r in records),
+        mrr1_rev=_mean(r.mrr1_rev for r in records),
         robustness_ori=robustness_at_k([[v] for v in ndcg_ori]),
         robustness_ins=robustness_at_k(ins_groups),
         robustness_rev=robustness_at_k(rev_groups) if rev_groups else None,
@@ -196,7 +192,7 @@ def _summarize(cfg: MetricConfig,
 
 def _overall(summaries: list[DimensionSummary]) -> DimensionSummary:
     """Unweighted mean of the dimension rows, metric by metric."""
-    values = {name: _mean_or_none(getattr(s, name) for s in summaries) for name in METRICS}
+    values = {name: _mean(getattr(s, name) for s in summaries) for name in METRICS}
     values["per"] = wise_per(values["wise_act"], values["wise_ideal"])
     return DimensionSummary(
         scope="overall", **values,

@@ -27,9 +27,7 @@ from .core import (CoreQuery, Dataset, Dimension, Document, InstructedQuery,
 from .errors import InfoSearchError
 
 
-MODE_FILES = {Mode.ORIGINAL: "original.run",
-              Mode.INSTRUCTED: "instructed.run",
-              Mode.REVERSED: "reversed.run"}
+MODE_FILES = {mode: f"{mode.value}.run" for mode in Mode}
 
 
 def _read_jsonl(path: Path):
@@ -113,9 +111,17 @@ def _load_records(directory: Path, stem: str) -> dict:
     return records
 
 
+def existing_dir(path: str | Path) -> Path:
+    """path as a Path; NotADirectoryError unless it names a directory."""
+    path = Path(path)
+    if not path.is_dir():
+        raise NotADirectoryError(f"no such directory: {path}")
+    return path
+
+
 def load_dataset(directory: str | Path) -> Dataset:
     """Load and validate a dataset directory; raises on any violation."""
-    directory = Path(directory)
+    directory = existing_dir(directory)
     dataset = Dataset(**{stem: _load_records(directory, stem) for stem in _KINDS})
     violations = validate_dataset(dataset)
     if violations:
@@ -214,7 +220,7 @@ def write_run(runset: RunSet, path: str | Path, tag: str = "run") -> None:
 
 def load_system(directory: str | Path, score_from_rank: bool = False) -> RunSet:
     """The lists of a system directory's three mode files, in one RunSet."""
-    directory = Path(directory)
+    directory = existing_dir(directory)
     runset = RunSet(system_id=directory.name)
     for mode, fname in MODE_FILES.items():
         path = directory / fname

@@ -163,7 +163,7 @@ OFFICIAL_DATASET = os.environ.get("INFOSEARCH_DATASET", "data/infosearch")
 def test_criterion_9_official_bm25_row(tmp_path):
     dataset = ingest.load_dataset(OFFICIAL_DATASET)
     from infosearch_eval.bm25 import run_all_modes
-    runset = run_all_modes(dataset, top_k=100)
+    runset = run_all_modes(dataset, Bm25Params(), 100)
     overall = evaluate_system(dataset, runset)[1][-1]
     assert abs(overall.ndcg_ori * 100 - 47.5) <= 3.0
     assert abs(overall.ndcg_ins * 100 - 39.1) <= 3.0

@@ -235,12 +235,12 @@ def test_index_deterministic():
 
 
 def test_run_all_modes_counts(desk_dataset):
-    runset = run_all_modes(desk_dataset, top_k=100)
+    runset = run_all_modes(desk_dataset, Bm25Params(), 100)
     assert len(runset.lists) == 2 + 4 + 4
 
 
 def test_identical_texts_identical_rankings(desk_dataset):
-    runset = run_all_modes(desk_dataset, top_k=100)
+    runset = run_all_modes(desk_dataset, Bm25Params(), 100)
     params = Bm25Params()
     docs = list(desk_dataset.documents.values())
     idx = build_index(docs, params)
@@ -410,3 +410,25 @@ def test_base_with_fewer_matches_than_top_k():
     # core's top; the zero-score fill follows in doc_id order
     assert [d for d, _ in hits] == ["d1", "d2", "d4", "d0", "d3"]
     assert [score for _, score in hits[3:]] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("base_top_k, top_k", [(1, 5), (3, 10), (10, 3)])
+def test_search_does_not_use_a_base_made_at_another_top_k(base_top_k, top_k):
+    dataset = gen_synthetic_dataset(SynthSpec(seed=7))
+    params = Bm25Params()
+    idx = build_index(list(dataset.documents.values()), params)
+    for iq in dataset.instructed_queries.values():
+        base = core_base(idx, tokenize(dataset.core_queries[iq.core_id].text), base_top_k)
+        for text in (iq.instructed_text, iq.reversed_text):
+            assert search(idx, params, text, top_k, base) == search(idx, params, text, top_k)
+
+
+def test_core_base_and_search_with_a_base_reject_bad_top_k():
+    params = Bm25Params()
+    idx = build_index([doc("d0", "apple")], params)
+    base = core_base(idx, ["apple"], 1)
+    for top_k in (0, -1):
+        with pytest.raises(ValueError, match=r"^require top_k >= 1$"):
+            core_base(idx, ["apple"], top_k)
+        with pytest.raises(ValueError, match=r"^require top_k >= 1$"):
+            search(idx, params, "apple", top_k, base)

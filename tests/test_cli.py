@@ -2,11 +2,12 @@ import argparse
 import json
 import re
 import shlex
+import shutil
 from pathlib import Path
 
 import pytest
 
-from infosearch_eval import core, ingest, oracle
+from infosearch_eval import core, harness, ingest, oracle
 from infosearch_eval.cli import build_parser, main
 from infosearch_eval.core import validate_dataset
 from infosearch_eval.synth import SynthSpec, gen_synthetic_dataset
@@ -160,6 +161,20 @@ def test_oracle_agrees(fixture_dirs, capsys):
     assert "0 mismatches" in capsys.readouterr().out
 
 
+def test_oracle_reports_each_mismatch(tmp_path, capsys, monkeypatch):
+    assert main(["synth", "--out", str(tmp_path)]) == 0
+    dataset_dir, system_dir = tmp_path / "dataset", tmp_path / "runs" / "random"
+    expected = oracle.oracle_metrics(ingest.load_dataset(dataset_dir),
+                                     ingest.load_system(system_dir))
+    # the harness now counts every query as an instruction-following one
+    monkeypatch.setattr(harness, "sicr_indicator", lambda ctx: 1)
+    capsys.readouterr()
+    assert main(["oracle", str(dataset_dir), str(system_dir)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"MISMATCH {scope}.sicr: 1.0 != {expected[scope]['sicr']}" for scope in sorted(expected)
+    ] + ["7 mismatches"]
+
+
 def test_oracle_rejects_oversize(fixture_dirs, capsys, monkeypatch):
     dataset_dir, runs_dir = fixture_dirs
     monkeypatch.setattr(oracle, "MAX_ORACLE_QUERIES", 1)
@@ -306,6 +321,16 @@ def _documents_not_utf8(dataset_dir, runs_dir):
     path.write_bytes(path.read_bytes() + b"\xff\n")
 
 
+def _one_system(prepare):
+    """prepare, on runs that hold the random system alone, which evaluate
+    then reads in its own process."""
+    def one(dataset_dir, runs_dir):
+        for name in ("anti", "perfect"):
+            shutil.rmtree(runs_dir / name)
+        prepare(dataset_dir, runs_dir)
+    return one
+
+
 def _blank(*names):
     def prepare(dataset_dir, runs_dir):
         for name in names:
@@ -379,6 +404,12 @@ SPACED = "{dataset}/documents.jsonl:1: malformed line: doc_id must be one token 
     (["validate", "{dataset}"], _condition_of_another_positive, 1,
      "invalid dataset: instructed query audience-c000-q1: condition c0 differs from gold"
      " audience-c000-d1's c1"),
+    (["evaluate", "{dataset}", "{runs}"], _one_system(_not_utf8), 1,
+     DATA + "{runs}/random/instructed.run: not UTF-8 (invalid start byte)"),
+    (["evaluate", "{dataset}", "{runs}"], _one_system(_blank("instructed_queries")), 1,
+     DATA + "dataset has no instructed queries"),
+    (["validate", "{dataset}"], _blank("instructed_queries"), 0, None),
+    (["synth", "--cores", "0"], None, 2, SYNTH + "all counts must be >= 1"),
 ], ids=["k", "wise-k", "synth-depth", "synth-dims", "synth-behaviors", "bm25-k1",
         "bm25-k1-nan", "bm25-k1-inf",
         "bm25-top-k-0", "bm25-top-k-negative", "run-not-utf8", "bm25-no-documents",
@@ -389,7 +420,9 @@ SPACED = "{dataset}/documents.jsonl:1: malformed line: doc_id must be one token 
         "validate-deep-nesting", "evaluate-deep-nesting", "evaluate-duplicate-doc-id",
         "validate-duplicate-core-id", "bm25-duplicate-query-id", "validate-no-documents",
         "evaluate-no-documents", "evaluate-documents-not-utf8",
-        "evaluate-dimension-other-than-the-cores", "validate-condition-other-than-the-golds"])
+        "evaluate-dimension-other-than-the-cores", "validate-condition-other-than-the-golds",
+        "run-not-utf8-one-system", "evaluate-no-instructed-one-system",
+        "validate-no-instructed", "synth-cores-0"])
 def test_bad_input_exits_with_one_line(argv, prepare, code, line, fixture_dirs, tmp_path,
                                        capsys):
     dataset_dir, runs_dir = fixture_dirs
@@ -455,6 +488,22 @@ def test_scoring_options_belong_to_evaluate_and_oracle(before, command, option, 
     if not before:  # before the command, argparse takes an option's value for the command
         assert err[-1] == USAGE + "unrecognized arguments: " + " ".join(option)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, abbreviated", [
+    (["--he", "validate", "dataset"], "--he"),
+    (["validate", "dataset", "--he"], "--he"),
+    (["evaluate", "dataset", "runs", "--s"], "--s"),
+    (["bm25-run", "dataset", "--top", "3"], "--top 3"),
+    (["synth", "--no", "2"], "--no 2"),
+    (["oracle", "dataset", "runs", "--wise", "5"], "--wise 5"),
+], ids=["before-command", "validate", "evaluate", "bm25-run", "synth", "oracle"])
+def test_an_abbreviated_option_is_unrecognized(argv, abbreviated, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        USAGE + "unrecognized arguments: " + abbreviated)
 
 
 def test_readme_names_only_existing_options():

@@ -130,3 +130,40 @@ def test_validate_detects_condition_other_than_the_golds(desk_dataset):
     assert validate_dataset(desk_dataset) == [
         "instructed query c0-q0: condition Expert differs from gold d0's Layman",
         "instructed query c0-q1: condition Layman differs from gold d1's Expert"]
+
+
+def _c0_positives(*positives, dimension=Dimension.AUDIENCE):
+    """Give core c0 these positives, and it and its queries this dimension."""
+    def edit(dataset):
+        dataset.core_queries["c0"] = replace(dataset.core_queries["c0"], dimension=dimension,
+                                             positives=positives)
+        for query_id in ("c0-q0", "c0-q1"):
+            iq = dataset.instructed_queries[query_id]
+            dataset.instructed_queries[query_id] = replace(iq, dimension=dimension)
+    return edit
+
+
+def _unknown_core(dataset):
+    iq = dataset.instructed_queries["c0-q0"]
+    dataset.instructed_queries["c0-q0"] = replace(iq, core_id="c9")
+
+
+# d2 is a third positive of c0 that repeats d0's condition
+_REPEATED_CONDITION = (("d0", "Layman"), ("d1", "Expert"), ("d2", "Layman"))
+
+
+@pytest.mark.parametrize("edit, violations", [
+    (_c0_positives(), ["core query c0: no positives",
+                       "instructed query c0-q0: gold d0 not among parent positives",
+                       "instructed query c0-q1: gold d1 not among parent positives"]),
+    (_c0_positives(*_REPEATED_CONDITION),
+     ["core query c0: duplicate conditions among positives"]),
+    (_c0_positives(*_REPEATED_CONDITION, dimension=Dimension.KEYWORD), []),
+    (_c0_positives(("d0", "Layman"), ("d1", "Expert"), ("d9", "Novice")),
+     ["core query c0: unknown positive doc d9"]),
+    (_unknown_core, ["instructed query c0-q0: unknown core c9"]),
+], ids=["no-positives", "duplicate-conditions", "keyword-duplicate-conditions",
+        "unknown-positive-doc", "unknown-core"])
+def test_validate_detects_faulty_core_queries_and_references(desk_dataset, edit, violations):
+    edit(desk_dataset)
+    assert validate_dataset(desk_dataset) == violations

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from infosearch_eval import cli, ingest
-from infosearch_eval.bm25 import run_all_modes
+from infosearch_eval.bm25 import Bm25Params, run_all_modes
 from infosearch_eval.core import Mode, RankedList, RunSet
 from infosearch_eval.errors import InfoSearchError
 from infosearch_eval.synth import SynthSpec, gen_synthetic_dataset, gen_synthetic_runs
@@ -30,6 +30,16 @@ def test_load_run_score_from_rank(tmp_path):
     path.write_text("q1 Q0 d9 1 0.0 x\nq1 Q0 d4 2 0.0 x\n")
     rs = ingest.load_run(path, Mode.INSTRUCTED, score_from_rank=True)
     assert rs.lists["q1", Mode.INSTRUCTED].entries == (("d9", 1.0), ("d4", 0.5))
+
+
+def test_load_run_skips_blank_and_whitespace_only_lines(tmp_path):
+    lines = ["q1 Q0 d9 1 3.0 x\n", "q1 Q0 d4 2 2.0 x\n", "q2 Q0 d1 1 1.0 x\n"]
+    plain, spaced = tmp_path / "plain.run", tmp_path / "spaced.run"
+    plain.write_text("".join(lines))
+    spaced.write_text(lines[0] + "\n \t\n" + lines[1] + "   \r\n" + lines[2])
+    expected = ingest.load_run(plain, Mode.ORIGINAL).lists
+    assert len(expected) == 2
+    assert ingest.load_run(spaced, Mode.ORIGINAL).lists == expected
 
 
 def test_load_run_rank_gap(tmp_path):
@@ -272,7 +282,8 @@ def test_run_round_trip_is_byte_exact(tmp_path, score_from_rank):
 def test_system_round_trip(tmp_path):
     spec = SynthSpec(seed=7)
     dataset = gen_synthetic_dataset(spec)
-    for runset in (gen_synthetic_runs(dataset, spec, "random"), run_all_modes(dataset, top_k=5)):
+    for runset in (gen_synthetic_runs(dataset, spec, "random"),
+                   run_all_modes(dataset, Bm25Params(), 5)):
         directory = tmp_path / runset.system_id
         ingest.write_system(dataset, runset, directory, tag="t")
         assert sorted(p.name for p in directory.iterdir()) == sorted(ingest.MODE_FILES.values())
@@ -380,3 +391,12 @@ def test_load_dataset_rejects_an_id_no_run_file_can_carry(tmp_path, desk_dataset
     assert capsys.readouterr() == (f"invalid dataset: {line}\n", "")
     assert cli.main(["evaluate", str(dataset), str(runs), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr() == ("", f"error: {line}\n")
+
+
+@pytest.mark.parametrize("load", [ingest.load_dataset, ingest.load_system])
+def test_loading_a_missing_directory_names_it(tmp_path, load):
+    (tmp_path / "a-file").write_text("")
+    for path in (tmp_path / "nope", tmp_path / "a-file"):
+        with pytest.raises(NotADirectoryError) as got:
+            load(path)
+        assert str(got.value) == f"no such directory: {path}"

@@ -174,3 +174,9 @@ def test_scale_invariance_of_all_metrics():
         for (qk, mode), rl in rs.lists.items():
             scaled.add(RankedList(qk, mode, [(d, s * factor) for d, s in rl.entries]))
         assert diff_reports(base, harness_view(ds, scaled)) == []
+
+
+def test_diff_reports_names_a_missing_scope_and_a_value_against_none():
+    assert diff_reports({"Audience": {"sicr": 1.0}, "overall": {"sicr": 1.0}},
+                        {"overall": {"sicr": None}}) == [
+        "Audience: missing on one side", "overall.sicr: 1.0 != None"]
