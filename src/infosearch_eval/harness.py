@@ -27,14 +27,18 @@ class EvalRecord:
     core_id: str
     dimension: Dimension
     gold: GoldContext
-    wise_f: float
+    # each field after gold is averaged by the row column of the same name
+    wise_act: float
     wise_ideal: float
-    sicr_i: int
+    sicr: int
     p_mrr: float
     ndcg_ins: float
     ndcg_rev: Optional[float]  # None when the reversed relevant set is empty
     mrr1_ins: int
     mrr1_rev: Optional[int]
+
+
+RECORD_METRICS = tuple(f.name for f in fields(EvalRecord)[4:])
 
 
 @dataclass
@@ -63,15 +67,6 @@ class DimensionSummary:
 
 
 METRICS = tuple(f.name for f in fields(DimensionSummary)[1:-2])
-
-
-def relevance_sets(dataset: Dataset, iq: InstructedQuery
-                   ) -> tuple[set[str], set[str], Optional[set[str]]]:
-    """Relevant docs per mode: all positives / the gold alone / positives
-    minus gold, the last None when the core has a single positive."""
-    rel_ori = set(dataset.core_queries[iq.core_id].positive_ids())
-    rel_ins = {iq.gold_doc_id}
-    return rel_ori, rel_ins, (rel_ori - rel_ins) or None
 
 
 def _gold_in(ranked: RankedList, doc_id: str) -> tuple[int, float]:
@@ -127,16 +122,22 @@ def evaluate_system(dataset: Dataset, runset: RunSet, cfg: MetricConfig = Metric
     if not dataset.instructed_queries:
         raise InfoSearchError("dataset has no instructed queries")
     records: list[EvalRecord] = []
-    # dimension -> core_id -> (original list, its relevant set, the core's records)
+    # dimension -> core_id -> (original list, the core's positives, its records);
+    # a query's relevant sets: its gold, and the other positives (maybe none)
     groups: dict[Dimension, dict[str, tuple[RankedList, set[str], list[EvalRecord]]]] = {
         dim: {} for dim in Dimension}
     for iq, ctx, (l_ori, l_ins, l_rev) in build_gold_contexts(dataset, runset):
-        rel_ori, rel_ins, rel_rev = relevance_sets(dataset, iq)
+        cores = groups[iq.dimension]
+        if iq.core_id not in cores:
+            cores[iq.core_id] = (l_ori, set(dataset.core_queries[iq.core_id].positive_ids()), [])
+        _, rel_ori, core_records = cores[iq.core_id]
+        rel_ins = {iq.gold_doc_id}
+        rel_rev = rel_ori - rel_ins
         record = EvalRecord(
             query_id=iq.query_id, core_id=iq.core_id, dimension=iq.dimension, gold=ctx,
-            wise_f=wise_query(ctx, cfg),
+            wise_act=wise_query(ctx, cfg),
             wise_ideal=wise_ideal_query(ctx.r_ori, ctx.n_positives, cfg.k_wise),
-            sicr_i=sicr_indicator(ctx),
+            sicr=sicr_indicator(ctx),
             p_mrr=p_mrr_doc(ctx.r_ori, ctx.r_ins, cfg.p_mrr_sign),
             ndcg_ins=ndcg_at_k(l_ins, rel_ins, cfg.k_ndcg),
             ndcg_rev=ndcg_at_k(l_rev, rel_rev, cfg.k_ndcg) if rel_rev else None,
@@ -144,7 +145,7 @@ def evaluate_system(dataset: Dataset, runset: RunSet, cfg: MetricConfig = Metric
             mrr1_rev=mrr_at_1(l_rev, rel_rev) if rel_rev else None,
         )
         records.append(record)
-        groups[iq.dimension].setdefault(iq.core_id, (l_ori, rel_ori, []))[2].append(record)
+        core_records.append(record)
 
     rows = [_summarize(cfg, cores, dim.value) for dim, cores in groups.items() if cores]
     rows.append(_overall(rows))
@@ -167,24 +168,14 @@ def _summarize(cfg: MetricConfig,
             rev_groups.append(rev)
         records += group
 
-    wise_act = _mean(r.wise_f for r in records)
-    wise_ideal = _mean(r.wise_ideal for r in records)
+    values = {name: _mean(getattr(r, name) for r in records) for name in RECORD_METRICS}
+    # a core has one original list, so the minimum over its group is its nDCG
+    values["ndcg_ori"] = values["robustness_ori"] = _mean(ndcg_ori)
+    values["per"] = wise_per(values["wise_act"], values["wise_ideal"])
     return DimensionSummary(
-        scope=scope,
-        ndcg_ori=_mean(ndcg_ori),
-        ndcg_ins=_mean(r.ndcg_ins for r in records),
-        ndcg_rev=_mean(r.ndcg_rev for r in records),
-        mrr1_ori=_mean(mrr1_ori),
-        mrr1_ins=_mean(r.mrr1_ins for r in records),
-        mrr1_rev=_mean(r.mrr1_rev for r in records),
-        robustness_ori=robustness_at_k([[v] for v in ndcg_ori]),
+        scope=scope, **values, mrr1_ori=_mean(mrr1_ori),
         robustness_ins=robustness_at_k(ins_groups),
         robustness_rev=robustness_at_k(rev_groups) if rev_groups else None,
-        p_mrr=_mean(r.p_mrr for r in records),
-        wise_act=wise_act,
-        wise_ideal=wise_ideal,
-        per=wise_per(wise_act, wise_ideal),
-        sicr=_mean(r.sicr_i for r in records),
         query_count=len(records),
         degenerate_reversed=sum(1 for r in records if r.ndcg_rev is None),
     )

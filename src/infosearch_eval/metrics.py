@@ -97,23 +97,18 @@ def wise_reward(r_ori: int, r_ins: int, n: int, k: int) -> float:
     return 0.01
 
 
-def wise_penalty(r_ori: int, r_ins: int, r_rev: int) -> float:
-    """Penalty component, cases evaluated top-down; caller guarantees the
-    reward condition does not hold."""
+def wise_query(ctx: GoldContext, cfg: MetricConfig) -> float:
+    """Per-query WISE value in [-1, 1]: the reward, else one of three
+    penalties; cases evaluated top-down."""
+    r_ori, r_ins, r_rev = ctx.r_ori, ctx.r_ins, ctx.r_rev
+    if r_ins <= r_ori < r_rev:
+        return wise_reward(r_ori, r_ins, ctx.n_positives, cfg.k_wise)
     if r_rev < r_ori < r_ins:
         return -1.0
     if r_ori <= r_ins:
         return (r_ori - r_ins) / r_ins
     # r_ins < r_ori here, so the failed reward condition leaves r_rev <= r_ori
     return (r_rev - r_ori) / r_ori
-
-
-def wise_query(ctx: GoldContext, cfg: MetricConfig) -> float:
-    """Per-query WISE value in [-1, 1]."""
-    r_ori, r_ins, r_rev = ctx.r_ori, ctx.r_ins, ctx.r_rev
-    if r_ins <= r_ori < r_rev:
-        return wise_reward(r_ori, r_ins, ctx.n_positives, cfg.k_wise)
-    return wise_penalty(r_ori, r_ins, r_rev)
 
 
 def wise_ideal_query(r_ori: int, n: int, k: int) -> float:

@@ -45,6 +45,8 @@ class SynthSpec:
             raise ValueError("run_depth must be >= conditions_per_core")
         if not self.dims:
             raise ValueError("need at least one dimension")
+        if len(set(self.dims)) < len(self.dims):
+            raise ValueError("a dimension is repeated")
 
 
 def _words(rng: random.Random, n: int) -> str:

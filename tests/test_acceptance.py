@@ -18,7 +18,7 @@ from infosearch_eval.cli import main
 from infosearch_eval.core import Dimension, Mode, RankedList, RunSet
 from infosearch_eval.harness import evaluate_system
 from infosearch_eval.metrics import (GoldContext, MetricConfig, p_mrr_doc,
-                                     robustness_at_k, wise_penalty, wise_per,
+                                     robustness_at_k, wise_per,
                                      wise_query, wise_reward)
 from infosearch_eval.oracle import diff_reports, oracle_metrics
 from infosearch_eval.synth import (BEHAVIORS, SynthSpec, gen_synthetic_dataset,
@@ -47,7 +47,9 @@ def test_criterion_1_counterexamples():
 
 
 def test_criterion_2_wise_boundaries():
-    assert wise_penalty(r_ori=5, r_ins=9, r_rev=2) == -1.0   # rev < ori < ins
+    rev_ori_ins = GoldContext(r_ori=5, r_ins=9, r_rev=2, s_ori=1 / 5, s_ins=1 / 9,
+                              s_rev=1 / 2, n_positives=1)
+    assert wise_query(rev_ori_ins, MetricConfig()) == -1.0   # rev < ori < ins
     assert wise_reward(r_ori=3, r_ins=1, n=5, k=20) == 1.0   # ori <= N, ins = 1
     assert wise_reward(r_ori=25, r_ins=10, n=1, k=20) == 0.01  # beyond top K
     _report(2, "WISE boundary cases exact")
@@ -109,7 +111,7 @@ def test_criterion_6_behavior_ordering():
         recs, rows = evaluate_system(ds, gen_synthetic_runs(ds, spec, b))
         overall[b], records[b] = rows[-1], recs
     assert overall["perfect"].sicr == 1.0
-    assert all(r.wise_f == r.wise_ideal for r in records["perfect"])
+    assert all(r.wise_act == r.wise_ideal for r in records["perfect"])
     assert overall["anti"].wise_act < 0
     assert overall["anti"].sicr == 0.0
     assert overall["anti"].wise_act < overall["random"].wise_act < overall["perfect"].wise_act

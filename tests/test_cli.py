@@ -410,6 +410,7 @@ SPACED = "{dataset}/documents.jsonl:1: malformed line: doc_id must be one token 
      DATA + "dataset has no instructed queries"),
     (["validate", "{dataset}"], _blank("instructed_queries"), 0, None),
     (["synth", "--cores", "0"], None, 2, SYNTH + "all counts must be >= 1"),
+    (["synth", "--dims", "Audience,Audience"], None, 2, SYNTH + "a dimension is repeated"),
 ], ids=["k", "wise-k", "synth-depth", "synth-dims", "synth-behaviors", "bm25-k1",
         "bm25-k1-nan", "bm25-k1-inf",
         "bm25-top-k-0", "bm25-top-k-negative", "run-not-utf8", "bm25-no-documents",
@@ -422,7 +423,7 @@ SPACED = "{dataset}/documents.jsonl:1: malformed line: doc_id must be one token 
         "evaluate-no-documents", "evaluate-documents-not-utf8",
         "evaluate-dimension-other-than-the-cores", "validate-condition-other-than-the-golds",
         "run-not-utf8-one-system", "evaluate-no-instructed-one-system",
-        "validate-no-instructed", "synth-cores-0"])
+        "validate-no-instructed", "synth-cores-0", "synth-dims-repeated"])
 def test_bad_input_exits_with_one_line(argv, prepare, code, line, fixture_dirs, tmp_path,
                                        capsys):
     dataset_dir, runs_dir = fixture_dirs

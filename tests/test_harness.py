@@ -7,26 +7,34 @@ import pytest
 
 from infosearch_eval.core import Dimension, Mode, RunSet
 from infosearch_eval.errors import InfoSearchError
-from infosearch_eval.harness import (build_gold_contexts, evaluate_system,
-                                     relevance_sets)
+from infosearch_eval.harness import build_gold_contexts, evaluate_system
 from infosearch_eval.synth import SynthSpec, gen_synthetic_dataset, gen_synthetic_runs
 
 from conftest import c0_q0_context, make_list
 
 
-def test_relevance_sets(desk_dataset):
-    iq = desk_dataset.instructed_queries["c0-q0"]  # gold d0, positives {d0, d1}
-    rel_ori, rel_ins, rel_rev = relevance_sets(desk_dataset, iq)
-    assert rel_ori == {"d0", "d1"}
-    assert rel_ins == {"d0"}
-    assert rel_rev == {"d1"}
+def test_relevance_sets(desk_dataset, desk_runset):
+    # c0-q0: gold d0, positives {d0, d1}; the instructed list ranks d1 last, so
+    # nDCG is 1.0 only when the gold alone is relevant, and the reversed list
+    # [d1, d2, d3, d0] scores 1.0 only when d1 alone is
+    desk_runset.add(make_list("c0-q0", Mode.INSTRUCTED, ["d0", "d2", "d3", "d1"]))
+    records, _ = evaluate_system(desk_dataset, desk_runset)
+    r = next(r for r in records if r.query_id == "c0-q0")
+    assert (r.ndcg_ins, r.ndcg_rev, r.mrr1_rev) == (1.0, 1.0, 1)
 
 
-def test_relevance_sets_degenerate(desk_dataset):
-    core = desk_dataset.core_queries["c0"]
-    object.__setattr__(core, "positives", (("d0", "Layman"),))
-    iq = desk_dataset.instructed_queries["c0-q0"]
-    assert relevance_sets(desk_dataset, iq)[2] is None
+def test_relevance_sets_degenerate(desk_dataset, desk_runset):
+    # c0 cut to its one positive: c0-q0's reversed relevant set is empty
+    desk_dataset.core_queries["c0"] = replace(desk_dataset.core_queries["c0"],
+                                              positives=(("d0", "Layman"),))
+    del desk_dataset.instructed_queries["c0-q1"]
+    records, (audience, fmt, overall) = evaluate_system(desk_dataset, desk_runset)
+    r = next(r for r in records if r.query_id == "c0-q0")
+    assert (r.ndcg_rev, r.mrr1_rev) == (None, None)
+    assert (audience.query_count, audience.degenerate_reversed) == (1, 1)
+    assert (audience.ndcg_rev, audience.robustness_rev) == (None, None)
+    assert (fmt.query_count, fmt.degenerate_reversed) == (2, 0)
+    assert (overall.query_count, overall.degenerate_reversed, overall.ndcg_rev) == (3, 1, 1.0)
 
 
 def test_build_gold_contexts_lookup(desk_dataset, desk_runset):
@@ -90,7 +98,7 @@ def test_overall_is_mean_of_dimension_rows(desk_dataset, desk_runset):
 def test_sicr_flag_implies_rank_chain(desk_dataset, desk_runset):
     records, _ = evaluate_system(desk_dataset, desk_runset)
     for r in records:
-        if r.sicr_i == 1:
+        if r.sicr == 1:
             assert r.gold.r_ins < r.gold.r_ori < r.gold.r_rev
 
 
@@ -104,7 +112,7 @@ def test_sicr_mean(desk_dataset, desk_runset):
                                                        dimension=Dimension.AUDIENCE)
     desk_runset.add(make_list("c1-q1", Mode.REVERSED, ["d5", "d4", "d6", "d7"]))
     records, (row, overall) = evaluate_system(desk_dataset, desk_runset)
-    assert [r.sicr_i for r in records] == [0, 1, 0, 0]
+    assert [r.sicr for r in records] == [0, 1, 0, 0]
     assert (row.scope, row.query_count, row.sicr, overall.sicr) == ("Audience", 4, 0.25, 0.25)
 
 

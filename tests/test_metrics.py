@@ -9,8 +9,7 @@ from infosearch_eval.core import Mode, RankedList
 from infosearch_eval.metrics import (PMRR_FLIPPED, GoldContext, MetricConfig,
                                      mrr_at_1, ndcg_at_k, p_mrr_doc,
                                      robustness_at_k, sicr_indicator,
-                                     wise_ideal_query, wise_penalty,
-                                     wise_query, wise_reward)
+                                     wise_ideal_query, wise_query, wise_reward)
 
 from conftest import c0_q0_context, make_list
 
@@ -144,11 +143,12 @@ def test_wise_reward_cases():
     assert wise_reward(25, 10, n=1, k=20) == 0.01
 
 
-def test_wise_penalty_cases():
-    assert wise_penalty(5, 9, 2) == -1.0
-    assert wise_penalty(5, 10, 12) == -0.5
-    assert wise_penalty(6, 4, 3) == -0.5
-    assert wise_penalty(5, 8, 5) == -0.375  # tie goes to the middle case
+def test_wise_query_penalty_cases():
+    cfg = MetricConfig()
+    assert wise_query(ctx(5, 9, 2), cfg) == -1.0
+    assert wise_query(ctx(5, 10, 12), cfg) == -0.5
+    assert wise_query(ctx(6, 4, 3), cfg) == -0.5
+    assert wise_query(ctx(5, 8, 5), cfg) == -0.375  # tie goes to the middle case
 
 
 def test_wise_query_boundaries():

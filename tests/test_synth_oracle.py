@@ -1,4 +1,6 @@
+import math
 import random
+import shutil
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
@@ -46,7 +48,7 @@ def test_perfect_behavior_is_ideal():
     records, rows = evaluate_system(ds, rs)
     assert rows[-1].sicr == 1.0
     for r in records:
-        assert r.wise_f == r.wise_ideal
+        assert r.wise_act == r.wise_ideal
 
 
 def test_anti_behavior_penalized():
@@ -55,7 +57,7 @@ def test_anti_behavior_penalized():
     rs = gen_synthetic_runs(ds, spec, "anti")
     records, rows = evaluate_system(ds, rs)
     overall = rows[-1]
-    assert all(r.wise_f <= 0 for r in records)
+    assert all(r.wise_act <= 0 for r in records)
     assert overall.wise_act < 0
     assert overall.sicr == 0.0
 
@@ -84,15 +86,15 @@ def test_differential_small_sweep():
         assert diff_reports(harness_view(ds, rs), oracle_metrics(ds, rs)) == []
 
 
-def _like_real_runs(dataset, runset, rng):
+def _like_real_runs(dataset, runset, rng, min_depth=0):
     """Synth output reshaped like real data.
 
     Each core keeps all its positives, only its golds, or one gold (and the
     one instructed query that has it), so some reversed relevant sets are
     empty.  Each list's scores may be quantised into ties, and each list is
-    cut at a random depth, 0 included.  Returns the dataset, the harness's
-    RunSet, and the oracle's view of the same lists, ordered here by
-    (-score, doc_id) and not by RankedList.
+    cut at a random depth of at least min_depth.  Returns the dataset, the
+    harness's RunSet, and the oracle's view of the same lists, ordered here
+    by (-score, doc_id) and not by RankedList.
     """
     core_queries, instructed = {}, {}
     for core in dataset.core_queries.values():
@@ -113,11 +115,15 @@ def _like_real_runs(dataset, runset, rng):
         quantum = rng.choice((None, 2, 4, 8))
         entries = sorted(((d, s if quantum is None else round(s * quantum) / quantum)
                           for d, s in ranked.entries), key=lambda e: (-e[1], e[0]))
-        del entries[rng.randint(0, len(entries)):]
+        del entries[rng.randint(min_depth, len(entries)):]
         reference[key, mode] = SimpleNamespace(entries=tuple(entries))
         rng.shuffle(entries)
         runs.add(RankedList(key, mode, entries))
     return dataset, runs, SimpleNamespace(lists=reference)
+
+
+QUERY_COLUMNS = ("ndcg_ins", "ndcg_rev", "mrr1_ins", "mrr1_rev", "p_mrr", "wise_act",
+                 "wise_ideal", "sicr")
 
 
 def test_differential_on_cut_tied_single_positive_runs():
@@ -138,7 +144,18 @@ def test_differential_on_cut_tied_single_positive_runs():
         ds = gen_synthetic_dataset(spec)
         ds, runs, reference = _like_real_runs(ds, gen_synthetic_runs(ds, spec, behavior), rng)
         assert validate_dataset(ds) == []
-        assert diff_reports(harness_view(ds, runs, cfg), oracle_metrics(ds, reference, cfg)) == []
+        records, rows = evaluate_system(ds, runs, cfg)
+        assert diff_reports({row.scope: row.as_dict() for row in rows},
+                            oracle_metrics(ds, reference, cfg)) == []
+        # a dimension row's query-level columns are the means of its records
+        for row in rows[:-1]:
+            own = [r for r in records if r.dimension.value == row.scope]
+            assert row.query_count == len(own)
+            assert row.robustness_ori == row.ndcg_ori
+            for name in QUERY_COLUMNS:
+                values = [getattr(r, name) for r in own if getattr(r, name) is not None]
+                assert getattr(row, name) == (
+                    math.fsum(values) / len(values) if values else None), name
         for iq in ds.instructed_queries.values():
             lists = [reference.lists[key].entries for key in (
                 (iq.core_id, Mode.ORIGINAL), (iq.query_id, Mode.INSTRUCTED),
@@ -151,6 +168,49 @@ def test_differential_on_cut_tied_single_positive_runs():
     check()
     cases = ("gold missing", "tied list", "empty list", "degenerate reversed")
     assert all(seen[case] for case in cases), seen
+
+
+def _swap_modes(system_dir, out):
+    """A copy of a system directory with instructed.run and reversed.run exchanged."""
+    out.mkdir()
+    for mode, other in ((Mode.ORIGINAL, Mode.ORIGINAL), (Mode.INSTRUCTED, Mode.REVERSED),
+                        (Mode.REVERSED, Mode.INSTRUCTED)):
+        shutil.copy(system_dir / ingest.MODE_FILES[mode], out / ingest.MODE_FILES[other])
+    return out
+
+
+def test_swapping_instructed_and_reversed_runs(tmp_path):
+    # a query that complies (r_ins < r_ori < r_rev) moves the other way once
+    # the two mode files are exchanged, which WISE scores -1 and SICR 0; and
+    # no query complies both before and after
+    spec = SynthSpec(seed=11, run_depth=20)
+    ds = gen_synthetic_dataset(spec)
+    ingest.write_system(ds, gen_synthetic_runs(ds, spec, "perfect"), tmp_path / "perfect",
+                        tag="perfect")
+    rows = evaluate_system(ds, ingest.load_system(_swap_modes(tmp_path / "perfect",
+                                                              tmp_path / "perfect-swapped")))[1]
+    assert (rows[-1].wise_act, rows[-1].sicr) == (-1.0, 0.0)
+
+    rng, seen = random.Random(11), Counter()
+    for i, behavior in enumerate(BEHAVIORS * 4):
+        cut, runs, _ = _like_real_runs(ds, gen_synthetic_runs(ds, spec, behavior), rng,
+                                       min_depth=1)  # a run file holds no empty list
+        system = tmp_path / f"{behavior}-{i}"
+        ingest.write_system(cut, runs, system, tag=behavior)
+        before = evaluate_system(cut, ingest.load_system(system))[0]
+        after = evaluate_system(cut, ingest.load_system(
+            _swap_modes(system, system.with_name(system.name + "-swapped"))))[0]
+        assert [r.query_id for r in before] == [r.query_id for r in after]
+        for old, new in zip(before, after):
+            g = old.gold
+            if g.r_ins < g.r_ori < g.r_rev:
+                seen["complied"] += 1
+                assert (new.wise_act, new.sicr) == (-1.0, 0), old.query_id
+            assert old.sicr + new.sicr <= 1
+            ins = runs.lists[old.query_id, Mode.INSTRUCTED]
+            seen["tied list"] += len(set(ins.scores)) < len(ins)
+            seen["gold missing"] += g.r_ins > len(ins)
+    assert all(seen[case] for case in ("complied", "tied list", "gold missing")), seen
 
 
 def test_oracle_footnote_values():
