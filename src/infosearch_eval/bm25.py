@@ -17,7 +17,11 @@ top; every score is the same float either way, so run files are unchanged.
 The index holds one ``(ordinal, tf)`` pair per document and distinct term
 frequency, shared by the postings of every term with that frequency in that
 document: a document repeats a few small frequencies, so most postings are a
-pointer to a pair that already exists.
+pointer to a pair that already exists.  ``run_all_modes`` knows every query
+before it indexes, so its index keeps the postings and idf of the queries'
+tokens only.  A term's postings and idf depend on no other term, and every
+document is still tokenized in full for its length, so every score is the
+same float as over the full index.
 """
 
 from __future__ import annotations
@@ -77,17 +81,20 @@ class InvertedIndex:
     by_doc_id: list[int]  # ordinals in ascending doc_id order
 
 
-def build_index(documents: list[Document], params: Bm25Params = Bm25Params()) -> InvertedIndex:
+def build_index(documents: list[Document], params: Bm25Params = Bm25Params(),
+                terms: set[str] | None = None) -> InvertedIndex:
+    """The index of the documents' tokens, or of those in ``terms`` only: such
+    an index answers only queries whose tokens are all in ``terms``."""
     if not documents:
         raise InfoSearchError("no documents to index")
     postings: dict[str, list[tuple[int, int]]] = {}
     doc_lengths: list[int] = []
     doc_ids: list[str] = []
     for ordinal, doc in enumerate(documents):
-        terms = tokenize(doc.text)
-        doc_lengths.append(len(terms))
+        tokens = tokenize(doc.text)
+        doc_lengths.append(len(tokens))
         doc_ids.append(doc.doc_id)
-        counts = Counter(terms)
+        counts = Counter(tokens if terms is None else filter(terms.__contains__, tokens))
         pair = {tf: (ordinal, tf) for tf in set(counts.values())}
         for term, tf in counts.items():
             postings.setdefault(term, []).append(pair[tf])
@@ -193,11 +200,14 @@ def search(index: InvertedIndex, params: Bm25Params, query_text: str, top_k: int
 def run_all_modes(dataset: Dataset, params: Bm25Params, top_k: int) -> RunSet:
     """Retrieve for every core/instructed/reversed query over the full corpus.
 
-    Queries are searched core by core, so one core's ``base`` is alive at a
-    time.
+    The index holds the tokens of these queries' texts only.  Queries are
+    searched core by core, so one core's ``base`` is alive at a time.
     """
-    docs = list(dataset.documents.values())
-    index = build_index(docs, params)
+    texts = [cq.text for cq in dataset.core_queries.values()]
+    for iq in dataset.instructed_queries.values():
+        texts += iq.instructed_text, iq.reversed_text
+    index = build_index(list(dataset.documents.values()), params,
+                        {token for text in texts for token in tokenize(text)})
     # a dataset that failed validation may name cores it does not hold
     groups: dict[str, list[InstructedQuery]] = {core_id: [] for core_id in dataset.core_queries}
     for iq in dataset.instructed_queries.values():

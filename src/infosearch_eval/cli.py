@@ -14,6 +14,9 @@ them one after another in this process.  Reports and errors are the same
 either way: the first faulty system in sorted order decides the exit code
 and the one error line.  The scoring options (``--k``, ``--wise-k``,
 ``--p-mrr-sign``, ``--score-from-rank``) follow ``evaluate`` or ``oracle``.
+Each command imports the modules that only it uses, ``bm25``, ``synth`` or
+``oracle``, when it runs, and a settings option that is not given takes its
+default from the settings type.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from . import bm25, ingest, oracle, report, synth
+from . import ingest, report
 from .core import Dataset, Dimension
 from .errors import InfoSearchError
 from .harness import DimensionSummary, evaluate_system
@@ -35,22 +38,30 @@ def _config(args) -> MetricConfig:
     return MetricConfig(k_ndcg=args.k, k_wise=args.wise_k, p_mrr_sign=args.p_mrr_sign)
 
 
-def _bm25_params(args) -> bm25.Bm25Params:
+def _given(args, **options: str) -> dict:
+    """Settings field -> value of its option, for the options given."""
+    return {field: getattr(args, option) for field, option in options.items()
+            if getattr(args, option) is not None}
+
+
+def _bm25_params(args):
+    from .bm25 import Bm25Params
     if args.top_k < 1:
         raise ValueError("require --top-k >= 1")
-    return bm25.Bm25Params(k1=args.k1, b=args.b)
+    return Bm25Params(**_given(args, k1="k1", b="b"))
 
 
-def _synth_spec(args) -> tuple[synth.SynthSpec, list[str]]:
+def _synth_spec(args):
+    from .synth import BEHAVIORS, SynthSpec
     behaviors = args.behaviors.split(",")
     for behavior in behaviors:
-        if behavior not in synth.BEHAVIORS:
+        if behavior not in BEHAVIORS:
             raise ValueError(f"unknown behavior {behavior!r}")
     dims = (tuple(Dimension) if args.dims == "all"
             else tuple(Dimension(name) for name in args.dims.split(",")))
-    return synth.SynthSpec(seed=args.seed, dims=dims, cores_per_dim=args.cores,
-                           conditions_per_core=args.conditions,
-                           corpus_noise_docs=args.noise_docs, run_depth=args.depth), behaviors
+    return SynthSpec(seed=args.seed, dims=dims, **_given(
+        args, cores_per_dim="cores", conditions_per_core="conditions",
+        corpus_noise_docs="noise_docs", run_depth="depth")), behaviors
 
 
 def cmd_validate(args) -> int:
@@ -140,6 +151,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_bm25_run(args) -> int:
+    from . import bm25
     dataset = ingest.load_dataset(args.dataset)
     runset = bm25.run_all_modes(dataset, args.settings, args.top_k)
     ingest.write_system(dataset, runset, args.out, tag="bm25")
@@ -148,6 +160,7 @@ def cmd_bm25_run(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from . import synth
     out_dir, (spec, behaviors) = args.out, args.settings
     dataset = synth.gen_synthetic_dataset(spec)
     ingest.write_dataset(dataset, out_dir / "dataset")
@@ -159,6 +172,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle
     dataset = ingest.load_dataset(args.dataset)
     if len(dataset.instructed_queries) > oracle.MAX_ORACLE_QUERIES:
         raise InfoSearchError(f"oracle input exceeds {oracle.MAX_ORACLE_QUERIES} queries")
@@ -203,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bm25-run", allow_abbrev=False, help="produce three-mode BM25 run files")
     p.add_argument("dataset", type=Path)
     p.add_argument("--out", type=Path, default="bm25-runs")
-    p.add_argument("--k1", type=float, default=bm25.Bm25Params.k1)
-    p.add_argument("--b", type=float, default=bm25.Bm25Params.b)
+    p.add_argument("--k1", type=float)
+    p.add_argument("--b", type=float)
     p.add_argument("--top-k", type=int, default=100)
     p.set_defaults(func=cmd_bm25_run, configure=_bm25_params)
 
@@ -212,10 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, default="synth-fixtures")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dims", default="all", help="comma-separated dimension names or 'all'")
-    p.add_argument("--cores", type=int, default=synth.SynthSpec.cores_per_dim)
-    p.add_argument("--conditions", type=int, default=synth.SynthSpec.conditions_per_core)
-    p.add_argument("--noise-docs", type=int, default=synth.SynthSpec.corpus_noise_docs)
-    p.add_argument("--depth", type=int, default=synth.SynthSpec.run_depth)
+    p.add_argument("--cores", type=int)
+    p.add_argument("--conditions", type=int)
+    p.add_argument("--noise-docs", type=int)
+    p.add_argument("--depth", type=int)
     p.add_argument("--behaviors", default="perfect,anti,random")
     p.set_defaults(func=cmd_synth, configure=_synth_spec)
 

@@ -6,8 +6,8 @@ instead of failing.  This runs the traced CLI on a small fixture and requires
 each per-layer metric to be non-zero in the ``evaluate`` or the ``bm25-run``
 trace.  ``bm25-run`` must also send every query through ``bm25.search``, the
 name its per-layer search metrics are recorded under, and count one posting
-per document and distinct term in ``bm25.build_index``; ``evaluate`` on one
-system must count one ``EvalRecord`` per instructed query.
+per document and distinct term that some query holds in ``bm25.build_index``;
+``evaluate`` on one system must count one ``EvalRecord`` per instructed query.
 """
 
 import importlib.util
@@ -52,6 +52,10 @@ def test_every_traced_layer_is_reached(tmp_path):
     # one system, so evaluate_system returns one record per instructed query
     assert derived[0]["harness.evaluate_system.queries"] == len(ds.instructed_queries)
     assert derived[1]["bm25.search.calls"] == len(ds.core_queries) + 2 * len(ds.instructed_queries)
-    # one posting per document and distinct term, counted without the index
-    assert derived[1]["bm25.build_index.postings"] == sum(
-        len(set(tokenize(d.text))) for d in ds.documents.values())
+    # one posting per document and distinct query term, counted without the index
+    texts = [cq.text for cq in ds.core_queries.values()]
+    for iq in ds.instructed_queries.values():
+        texts += iq.instructed_text, iq.reversed_text
+    query_terms = {token for text in texts for token in tokenize(text)}
+    postings = sum(len(set(tokenize(d.text)) & query_terms) for d in ds.documents.values())
+    assert derived[1]["bm25.build_index.postings"] == postings == 25

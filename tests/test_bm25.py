@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infosearch_eval import ingest
+from infosearch_eval import bm25, ingest
 from infosearch_eval.bm25 import (Bm25Params, build_index, core_base, run_all_modes,
                                   search, tokenize)
 from infosearch_eval.cli import main
@@ -301,6 +301,35 @@ def test_run_all_modes_equals_per_query_search_on_datasets(desk_dataset):
     assert_runs_equal_reference(desk_dataset)
     assert_runs_equal_reference(desk_dataset, Bm25Params(k1=0.9, b=0.4), top_k=3)
     assert_runs_equal_reference(gen_synthetic_dataset(SynthSpec(seed=7)))
+
+
+def test_run_all_modes_indexes_only_its_queries_tokens(desk_dataset, monkeypatch):
+    """The index run_all_modes builds is the full index cut to the tokens of
+    the texts it searches: the same postings, pairs and idf of those tokens
+    in the same order, and the norms and doc_id orders of every document."""
+    built = []
+
+    def keep(*args):
+        built.append(build_index(*args))
+        return built[-1]
+
+    monkeypatch.setattr(bm25, "build_index", keep)
+    params = Bm25Params()
+    for dataset in (gen_synthetic_dataset(SynthSpec(seed=7)), desk_dataset):
+        built.clear()
+        run_all_modes(dataset, params, 100)
+        [index] = built
+        full = build_index(list(dataset.documents.values()), params)
+        texts = [cq.text for cq in dataset.core_queries.values()]
+        for iq in dataset.instructed_queries.values():
+            texts += iq.instructed_text, iq.reversed_text
+        query_tokens = {token for text in texts for token in tokenize(text)}
+        assert list(index.postings.items()) == [
+            (t, plist) for t, plist in full.postings.items() if t in query_tokens]
+        assert list(index.idf.items()) == [
+            (t, idf) for t, idf in full.idf.items() if t in query_tokens]
+        assert (index.norms, index.doc_ids, index.by_doc_id, index.doc_count) == (
+            full.norms, full.doc_ids, full.by_doc_id, full.doc_count)
 
 
 WORDS = ["foo", "bar", "foobar", "x", "Foo", "糖", "尿", "病", "plum", ""]

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from infosearch_eval import core, harness, ingest, oracle
+from infosearch_eval.bm25 import Bm25Params
 from infosearch_eval.cli import build_parser, main
 from infosearch_eval.core import validate_dataset
 from infosearch_eval.synth import SynthSpec, gen_synthetic_dataset
@@ -505,6 +506,18 @@ def test_an_abbreviated_option_is_unrecognized(argv, abbreviated, capsys):
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1] == (
         USAGE + "unrecognized arguments: " + abbreviated)
+
+
+@pytest.mark.parametrize("argv, settings", [
+    (["bm25-run", "dataset"], Bm25Params()),
+    (["bm25-run", "dataset", "--b", "0.4"], Bm25Params(b=0.4)),
+    (["synth"], (SynthSpec(seed=0), ["perfect", "anti", "random"])),
+    (["synth", "--seed", "3", "--cores", "3", "--depth", "12"],
+     (SynthSpec(seed=3, cores_per_dim=3, run_depth=12), ["perfect", "anti", "random"])),
+], ids=["bm25-run", "bm25-run-b", "synth", "synth-cores-depth"])
+def test_options_not_given_take_the_settings_type_defaults(argv, settings):
+    args = build_parser().parse_args(argv)
+    assert args.configure(args) == settings
 
 
 def test_readme_names_only_existing_options():

@@ -257,7 +257,10 @@ def test_dead_worker_exits_2(fixture_dirs, tmp_path):
 
 
 def test_importing_the_cli_leaves_out_multiprocessing(tmp_path):
-    """Only evaluate's worker path pays for importing multiprocessing."""
+    """Only evaluate's worker path pays for importing multiprocessing, and
+    only the commands that use bm25, oracle and synth import them."""
+    modules = ["multiprocessing", "infosearch_eval.bm25", "infosearch_eval.oracle",
+               "infosearch_eval.synth"]
     proc = _run_python(["-c", "import sys, infosearch_eval.cli; "
-                        "print('multiprocessing' in sys.modules)"], tmp_path)
-    assert proc.returncode == 0 and proc.stdout == "False\n"
+                        f"print([m for m in {modules!r} if m in sys.modules])"], tmp_path)
+    assert proc.returncode == 0 and proc.stdout == "[]\n"

@@ -191,6 +191,15 @@ def test_sicr_success_implies_positive_wise():
                     assert wise_query(c, cfg) > 0
 
 
+@pytest.mark.parametrize("r_ori, r_ins, value", [
+    (15, 1, 0.3000), (15, 5, 0.2236), (15, 14, 0.2539), (15, 15, 0.2582),
+    (20, 1, 0.0500), (20, 20, 0.2236)])
+def test_wise_worked_values(r_ori, r_ins, value):
+    """The worked values of README "Conventions": K = 20, 4 positives."""
+    assert wise_query(ctx(r_ori, r_ins, r_ori + 1, n=4), MetricConfig(k_wise=20)) == pytest.approx(
+        value, abs=1e-4)
+
+
 def test_wise_ideal():
     assert wise_ideal_query(3, n=5, k=20) == 1.0
     assert wise_ideal_query(5, n=1, k=20) == pytest.approx(0.8, abs=1e-12)
