@@ -1,16 +1,16 @@
 """Three-mode evaluation protocol: join dataset and runs, score, aggregate.
 
-Per instructed query, the gold document's rank/score is looked up in the
-core query's original-mode list and in the query's instructed/reversed
-lists.  Per-dimension rows are unweighted means; the overall row is the
-unweighted mean of the dimension rows (dimensions have unequal query
-counts, so this is a macro-average).
+Per instructed query, the gold's rank/score is looked up in the core's
+original-mode list and the query's instructed/reversed lists; its EvalRecord
+also carries the core's Original-mode nDCG@k and MRR@1.  rows_from_records
+makes the rows from the records alone: a dimension row is the unweighted mean
+over its queries (over its cores for the core's values); the overall row is
+the unweighted mean of the dimension rows, a macro-average.
 """
 
 from __future__ import annotations
 
 import math
-
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -27,7 +27,9 @@ class EvalRecord:
     core_id: str
     dimension: Dimension
     gold: GoldContext
-    # each field after gold is averaged by the row column of the same name
+    ndcg_ori: float  # the core's, so its row column averages it once per core
+    mrr1_ori: int
+    # each field below is averaged by the row column of the same name
     wise_act: float
     wise_ideal: float
     sicr: int
@@ -38,7 +40,7 @@ class EvalRecord:
     mrr1_rev: Optional[int]
 
 
-RECORD_METRICS = tuple(f.name for f in fields(EvalRecord)[4:])
+RECORD_METRICS = tuple(f.name for f in fields(EvalRecord)[6:])
 
 
 @dataclass
@@ -117,24 +119,23 @@ def _mean(values) -> Optional[float]:
 
 def evaluate_system(dataset: Dataset, runset: RunSet, cfg: MetricConfig = MetricConfig()
                     ) -> tuple[list[EvalRecord], list[DimensionSummary]]:
-    """Full evaluation: the per-query records, and the per-dimension rows in
-    Dimension order followed by the overall row."""
+    """Full evaluation: the per-query records, and their rows_from_records."""
     if not dataset.instructed_queries:
         raise InfoSearchError("dataset has no instructed queries")
     records: list[EvalRecord] = []
-    # dimension -> core_id -> (original list, the core's positives, its records);
-    # a query's relevant sets: its gold, and the other positives (maybe none)
-    groups: dict[Dimension, dict[str, tuple[RankedList, set[str], list[EvalRecord]]]] = {
-        dim: {} for dim in Dimension}
+    # core_id -> (its positives, its Original-mode nDCG@k and MRR@1); a
+    # query's relevant sets: its gold, and the other positives (maybe none)
+    cores: dict[str, tuple[set[str], float, int]] = {}
     for iq, ctx, (l_ori, l_ins, l_rev) in build_gold_contexts(dataset, runset):
-        cores = groups[iq.dimension]
         if iq.core_id not in cores:
-            cores[iq.core_id] = (l_ori, set(dataset.core_queries[iq.core_id].positive_ids()), [])
-        _, rel_ori, core_records = cores[iq.core_id]
+            rel = set(dataset.core_queries[iq.core_id].positive_ids())
+            cores[iq.core_id] = (rel, ndcg_at_k(l_ori, rel, cfg.k_ndcg), mrr_at_1(l_ori, rel))
+        rel_ori, ndcg_ori, mrr1_ori = cores[iq.core_id]
         rel_ins = {iq.gold_doc_id}
         rel_rev = rel_ori - rel_ins
-        record = EvalRecord(
+        records.append(EvalRecord(
             query_id=iq.query_id, core_id=iq.core_id, dimension=iq.dimension, gold=ctx,
+            ndcg_ori=ndcg_ori, mrr1_ori=mrr1_ori,
             wise_act=wise_query(ctx, cfg),
             wise_ideal=wise_ideal_query(ctx.r_ori, ctx.n_positives, cfg.k_wise),
             sicr=sicr_indicator(ctx),
@@ -143,37 +144,36 @@ def evaluate_system(dataset: Dataset, runset: RunSet, cfg: MetricConfig = Metric
             ndcg_rev=ndcg_at_k(l_rev, rel_rev, cfg.k_ndcg) if rel_rev else None,
             mrr1_ins=mrr_at_1(l_ins, rel_ins),
             mrr1_rev=mrr_at_1(l_rev, rel_rev) if rel_rev else None,
-        )
-        records.append(record)
-        core_records.append(record)
+        ))
+    return records, rows_from_records(records)
 
-    rows = [_summarize(cfg, cores, dim.value) for dim, cores in groups.items() if cores]
+
+def rows_from_records(records: list[EvalRecord]) -> list[DimensionSummary]:
+    """The per-dimension rows in Dimension order, then the overall row; the
+    records may come in any order, and there must be at least one."""
+    groups: dict[Dimension, dict[str, list[EvalRecord]]] = {dim: {} for dim in Dimension}
+    for record in records:
+        groups[record.dimension].setdefault(record.core_id, []).append(record)
+    rows = [_summarize(cores, dim.value) for dim, cores in groups.items() if cores]
     rows.append(_overall(rows))
-    return records, rows
+    return rows
 
 
-def _summarize(cfg: MetricConfig,
-               cores: dict[str, tuple[RankedList, set[str], list[EvalRecord]]],
-               scope: str) -> DimensionSummary:
-    # per core query: its original list's metrics, and the robustness groups
-    # of the instruction variants sharing it; records come core by core, not in
-    # query order, and min and fsum ignore the order
-    ndcg_ori, mrr1_ori, ins_groups, rev_groups, records = [], [], [], [], []
-    for l_ori, rel, group in cores.values():
-        ndcg_ori.append(ndcg_at_k(l_ori, rel, cfg.k_ndcg))
-        mrr1_ori.append(mrr_at_1(l_ori, rel))
-        ins_groups.append([r.ndcg_ins for r in group])
-        rev = [r.ndcg_rev for r in group if r.ndcg_rev is not None]
-        if rev:
-            rev_groups.append(rev)
-        records += group
+def _summarize(cores: dict[str, list[EvalRecord]], scope: str) -> DimensionSummary:
+    # per core: its Original-mode values, read from one of its records, and
+    # the robustness groups of its instruction variants; min and fsum ignore order
+    firsts = [group[0] for group in cores.values()]
+    records = [r for group in cores.values() for r in group]
+    ins_groups = [[r.ndcg_ins for r in group] for group in cores.values()]
+    rev_groups = [rev for group in cores.values()
+                  if (rev := [r.ndcg_rev for r in group if r.ndcg_rev is not None])]
 
     values = {name: _mean(getattr(r, name) for r in records) for name in RECORD_METRICS}
     # a core has one original list, so the minimum over its group is its nDCG
-    values["ndcg_ori"] = values["robustness_ori"] = _mean(ndcg_ori)
+    values["ndcg_ori"] = values["robustness_ori"] = _mean(r.ndcg_ori for r in firsts)
     values["per"] = wise_per(values["wise_act"], values["wise_ideal"])
     return DimensionSummary(
-        scope=scope, **values, mrr1_ori=_mean(mrr1_ori),
+        scope=scope, **values, mrr1_ori=_mean(r.mrr1_ori for r in firsts),
         robustness_ins=robustness_at_k(ins_groups),
         robustness_rev=robustness_at_k(rev_groups) if rev_groups else None,
         query_count=len(records),

@@ -235,8 +235,13 @@ def write_system(dataset: Dataset, runset: RunSet, directory: str | Path, tag: s
 
     Each mode file holds the runset's lists of the dataset's queries in
     dataset order: core_queries order for original.run, instructed_queries
-    order for the other two.
+    order for the other two.  An empty list has no line to read back, so it
+    raises InfoSearchError before any file is written.
     """
+    empty = next((ranked for ranked in runset.lists.values() if not ranked.doc_ids), None)
+    if empty is not None:
+        raise InfoSearchError(f"{runset.system_id}: cannot write the empty {empty.mode.value}"
+                              f" list for {empty.query_key!r}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for mode, fname in MODE_FILES.items():

@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -s` to see one status line per
 criterion.
 """
 
-import math
 import os
 import random
 import time
@@ -15,7 +14,7 @@ import pytest
 from infosearch_eval import ingest
 from infosearch_eval.bm25 import Bm25Params, build_index, search
 from infosearch_eval.cli import main
-from infosearch_eval.core import Dimension, Mode, RankedList, RunSet
+from infosearch_eval.core import Dimension, RankedList, RunSet
 from infosearch_eval.harness import evaluate_system
 from infosearch_eval.metrics import (GoldContext, MetricConfig, p_mrr_doc,
                                      robustness_at_k, wise_per,

@@ -11,7 +11,7 @@ from infosearch_eval import core, harness, ingest, oracle
 from infosearch_eval.bm25 import Bm25Params
 from infosearch_eval.cli import build_parser, main
 from infosearch_eval.core import validate_dataset
-from infosearch_eval.synth import SynthSpec, gen_synthetic_dataset
+from infosearch_eval.synth import SynthSpec
 
 
 @pytest.fixture

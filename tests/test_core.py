@@ -9,8 +9,6 @@ from infosearch_eval.core import (Dimension, Document, InstructedQuery, Mode,
                                   RankedList, validate_dataset)
 from infosearch_eval.errors import InfoSearchError
 
-from conftest import make_list
-
 
 def test_rank_of_basic():
     # a doc's rank is one plus its position in doc_ids

@@ -5,9 +5,9 @@ from itertools import groupby
 
 import pytest
 
-from infosearch_eval.core import Dimension, Mode, RunSet
+from infosearch_eval.core import Dimension, Mode
 from infosearch_eval.errors import InfoSearchError
-from infosearch_eval.harness import build_gold_contexts, evaluate_system
+from infosearch_eval.harness import build_gold_contexts, evaluate_system, rows_from_records
 from infosearch_eval.synth import SynthSpec, gen_synthetic_dataset, gen_synthetic_runs
 
 from conftest import c0_q0_context, make_list
@@ -114,6 +114,27 @@ def test_sicr_mean(desk_dataset, desk_runset):
     records, (row, overall) = evaluate_system(desk_dataset, desk_runset)
     assert [r.sicr for r in records] == [0, 1, 0, 0]
     assert (row.scope, row.query_count, row.sicr, overall.sicr) == ("Audience", 4, 0.25, 0.25)
+
+
+def test_original_columns_average_cores_not_queries(desk_dataset, desk_runset):
+    # Audience holds c0 (two queries, its positives ranked 1 and 2) and c1 (one
+    # query, positives ranked 2 and 4): the row's Original-mode columns are the
+    # means over its 2 cores, not over its 3 queries
+    desk_dataset.core_queries["c1"] = replace(desk_dataset.core_queries["c1"],
+                                              dimension=Dimension.AUDIENCE)
+    desk_dataset.instructed_queries["c1-q0"] = replace(
+        desk_dataset.instructed_queries["c1-q0"], dimension=Dimension.AUDIENCE)
+    del desk_dataset.instructed_queries["c1-q1"]
+    desk_runset.add(make_list("c1", Mode.ORIGINAL, ["d6", "d4", "d7", "d5"]))
+    records, rows = evaluate_system(desk_dataset, desk_runset)
+    c1_ndcg = (1 / math.log2(3) + 1 / math.log2(5)) / (1 + 1 / math.log2(3))
+    assert [(r.core_id, r.ndcg_ori, r.mrr1_ori) for r in records] == [
+        ("c0", 1.0, 1), ("c0", 1.0, 1), ("c1", pytest.approx(c1_ndcg, abs=1e-15), 0)]
+    row, overall = rows
+    assert (row.scope, row.query_count) == ("Audience", 3)
+    assert row.ndcg_ori == row.robustness_ori == pytest.approx((1 + c1_ndcg) / 2, abs=1e-15)
+    assert row.mrr1_ori == 0.5
+    assert rows_from_records(records[::-1]) == rows
 
 
 def test_aggregation_permutation_invariant():

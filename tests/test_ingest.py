@@ -288,6 +288,14 @@ def test_system_round_trip(tmp_path):
         ingest.write_system(dataset, runset, directory, tag="t")
         assert sorted(p.name for p in directory.iterdir()) == sorted(ingest.MODE_FILES.values())
         assert ingest.load_system(directory) == runset
+    # an empty list would be written as no lines, and not read back
+    key = next(iter(dataset.instructed_queries))
+    runset.lists[key, Mode.REVERSED] = RankedList(key, Mode.REVERSED, [])
+    directory = tmp_path / "with-empty"
+    with pytest.raises(InfoSearchError) as got:
+        ingest.write_system(dataset, runset, directory, tag="t")
+    assert str(got.value) == f"bm25: cannot write the empty reversed list for {key!r}"
+    assert not directory.exists()
 
 
 def test_dataset_round_trip(tmp_path, desk_dataset):

@@ -105,6 +105,14 @@ def test_p_mrr_identity_rank(r):
     assert p_mrr_doc(r, r, PMRR_FLIPPED) == 0.0
 
 
+@given(st.integers(1, 500), st.integers(1, 500), st.integers(1, 500))
+def test_p_mrr_monotone_in_r_ins(r_ori, a, b):
+    # as printed, p-MRR never rises as the gold moves up (r_ins falls); flipped, never falls
+    up, down = sorted((a, b))
+    assert p_mrr_doc(r_ori, up) <= p_mrr_doc(r_ori, down)
+    assert p_mrr_doc(r_ori, up, PMRR_FLIPPED) >= p_mrr_doc(r_ori, down, PMRR_FLIPPED)
+
+
 # --- SICR ---
 
 def test_sicr_indicator_satisfied():
@@ -198,6 +206,19 @@ def test_wise_worked_values(r_ori, r_ins, value):
     """The worked values of README "Conventions": K = 20, 4 positives."""
     assert wise_query(ctx(r_ori, r_ins, r_ori + 1, n=4), MetricConfig(k_wise=20)) == pytest.approx(
         value, abs=1e-4)
+
+
+@pytest.mark.parametrize("r_ori, lowest", [(5, 5), (10, 10), (15, 5), (20, 1)])
+def test_wise_reward_falls_then_rises(r_ori, lowest):
+    """K = 20, 4 positives, r_rev below r_ori: over r_ins from 1 to r_ori the
+    reward falls strictly to r_ins = max(1, min(r_ori, K - r_ori)), then rises
+    strictly (README "Conventions")."""
+    assert lowest == max(1, min(r_ori, 20 - r_ori))
+    rewards = [wise_query(ctx(r_ori, r_ins, r_ori + 1, n=4), MetricConfig(k_wise=20))
+               for r_ins in range(1, r_ori + 1)]
+    falling, rising = rewards[:lowest], rewards[lowest - 1:]
+    assert all(a > b for a, b in zip(falling, falling[1:]))
+    assert all(a < b for a, b in zip(rising, rising[1:]))
 
 
 def test_wise_ideal():
