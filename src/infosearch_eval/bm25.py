@@ -7,8 +7,9 @@ single-character tokens (the corpus contains Chinese documents).
 
 An instructed or reversed query is usually its core query's text followed by
 the instruction, so ``run_all_modes`` ranks each core query once, with
-``core_base``, and passes the result to ``search`` as ``base`` for the core's
-own queries.  A search at the base's top_k whose query begins with the base's
+``core_base``, whose top ends with a zero-score fill when fewer than top_k
+documents match, and passes it to ``search`` as ``base`` for the core's own
+queries.  A search at the base's top_k whose query begins with the base's
 tokens scores only the documents that its other tokens touch; any other
 search starts from the base of no tokens.  Scores only grow beyond the core's,
 so an untouched document below the core's top_k-th score cannot enter the
@@ -149,7 +150,9 @@ def core_base(index: InvertedIndex, tokens: list[str], top_k: int) -> Base:
     It holds the tokens, each document's score for them (0.0 where none
     matches), their top: ``(-score, doc_id, ordinal)`` of every document at
     or above their top_k-th best score, sorted once here, so that each
-    search sorts it as one run; and top_k.
+    search sorts it as one run, then the zero-score fill up to top_k entries:
+    ``(-0.0, doc_id, ordinal)`` of the unmatched documents in doc_id order;
+    and top_k.
     """
     if top_k < 1:
         raise ValueError("require top_k >= 1")
@@ -157,7 +160,10 @@ def core_base(index: InvertedIndex, tokens: list[str], top_k: int) -> Base:
     matched = _accumulate(index, tokens, scores)
     for ordinal, score in matched.items():
         scores[ordinal] = score
-    return tokens, scores, sorted(_top(index, matched, top_k)), top_k
+    # each idf is > 0, so the fill sorts after every match; -0.0 negates to 0.0
+    unmatched = (o for o in index.by_doc_id if o not in matched)
+    fill = [(-0.0, index.doc_ids[o], o) for o in islice(unmatched, max(0, top_k - len(matched)))]
+    return tokens, scores, sorted(_top(index, matched, top_k)) + fill, top_k
 
 
 def search(index: InvertedIndex, params: Bm25Params, query_text: str, top_k: int,
@@ -165,7 +171,7 @@ def search(index: InvertedIndex, params: Bm25Params, query_text: str, top_k: int
     """Top-k (doc_id, score) pairs, ties broken by ascending doc_id.
 
     Only documents in the query terms' postings are scored; when fewer than
-    top_k match, the list is filled with 0.0-scored documents in doc_id order.
+    top_k match, the list ends with the base's fill of 0.0-scored documents.
 
     ``base`` is used only when ``core_base`` made it at this top_k and this
     query's tokens begin with its tokens; otherwise the search starts from
@@ -187,14 +193,7 @@ def search(index: InvertedIndex, params: Bm25Params, query_text: str, top_k: int
     ranked = [entry for entry in base_top if entry[2] not in touched]
     ranked += _top(index, touched, top_k)
     ranked.sort()
-    hits = [(doc_id, -neg) for neg, doc_id, _ in ranked[:top_k]]
-    if len(hits) < top_k:
-        # every matched document is ranked: the base's top holds all those
-        # it matched, and _top keeps every touched one
-        matched = {ordinal for _, _, ordinal in ranked}
-        unmatched = (o for o in index.by_doc_id if o not in matched)
-        hits += [(index.doc_ids[o], 0.0) for o in islice(unmatched, top_k - len(hits))]
-    return hits
+    return [(doc_id, -neg) for neg, doc_id, _ in ranked[:top_k]]
 
 
 def run_all_modes(dataset: Dataset, params: Bm25Params, top_k: int) -> RunSet:

@@ -59,7 +59,7 @@ class DimensionSummary:
     p_mrr: float
     wise_act: float
     wise_ideal: float
-    per: Optional[float]  # (ideal - act)/ideal, None when ideal <= 0
+    per: float  # (ideal - act)/ideal
     sicr: float
     query_count: int
     degenerate_reversed: int = 0

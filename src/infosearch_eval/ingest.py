@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from array import array
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
@@ -30,14 +31,12 @@ from .errors import InfoSearchError
 MODE_FILES = {mode: f"{mode.value}.run" for mode in Mode}
 
 
-def _read_jsonl(path: Path):
-    """The stripped, non-blank lines of a UTF-8 file, with their line numbers."""
+@contextmanager
+def _numbered_lines(path: Path):
+    """The file's lines numbered from 1, read as UTF-8 with a leading BOM skipped."""
     with path.open(encoding="utf-8-sig") as fh:
         try:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if line:
-                    yield line_no, line
+            yield enumerate(fh, start=1)
         except UnicodeDecodeError as exc:
             raise InfoSearchError(f"{path}: not UTF-8 ({exc.reason})") from exc
 
@@ -97,17 +96,21 @@ def _load_records(directory: Path, stem: str) -> dict:
     kind, names = _KINDS[stem]
     records = {}
     for path in _files(directory, stem):
-        for line_no, line in _read_jsonl(path):
-            try:
-                record = _decode(kind, names, json.loads(line))
-            # a JSONDecodeError is a ValueError, and so is an integer over
-            # Python's digit limit; deep nesting overflows the stack
-            except (ValueError, RecursionError) as exc:
-                raise InfoSearchError(f"{path}:{line_no}: malformed line: {exc}") from exc
-            key = getattr(record, names[0])
-            if key in records:
-                raise InfoSearchError(f"{path}:{line_no}: duplicate {names[0]} {key!r}")
-            records[key] = record
+        with _numbered_lines(path) as lines:
+            for line_no, line in lines:
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = _decode(kind, names, json.loads(line))
+                # a JSONDecodeError is a ValueError, and so is an integer over
+                # Python's digit limit; deep nesting overflows the stack
+                except (ValueError, RecursionError) as exc:
+                    raise InfoSearchError(f"{path}:{line_no}: malformed line: {exc}") from exc
+                key = getattr(record, names[0])
+                if key in records:
+                    raise InfoSearchError(f"{path}:{line_no}: duplicate {names[0]} {key!r}")
+                records[key] = record
     return records
 
 
@@ -156,33 +159,30 @@ def load_run(path: str | Path, mode: Mode, score_from_rank: bool = False) -> Run
     path = Path(path)
     # per query: the ranks, doc_ids and scores, in file order
     per_query: dict[str, tuple[list[int], list[str], array]] = {}
-    with path.open(encoding="utf-8-sig") as fh:
-        try:
-            for line_no, line in enumerate(fh, start=1):
-                parts = line.split()
-                if not parts:
-                    continue
-                try:
-                    if len(parts) != 6 or parts[1] != "Q0":
-                        raise ValueError("expected 6 columns with Q0")
-                    query_key, _, doc_id, rank_s, score_s, _tag = parts
-                    rank = int(rank_s)
-                    score = float(score_s)
-                    if rank < 1:
-                        raise ValueError("rank must be >= 1")
-                    if not math.isfinite(score):
-                        raise ValueError("non-finite score")
-                except ValueError as exc:
-                    raise InfoSearchError(f"{path}:{line_no}: malformed line: {exc}") from exc
-                columns = per_query.get(query_key)
-                if columns is None:
-                    columns = per_query[query_key] = ([], [], array("d"))
-                columns[0].append(rank)
-                # a system's lists repeat a few thousand doc_ids: keep one string of each
-                columns[1].append(sys.intern(doc_id))
-                columns[2].append(1.0 / rank if score_from_rank else score)
-        except UnicodeDecodeError as exc:
-            raise InfoSearchError(f"{path}: not UTF-8 ({exc.reason})") from exc
+    with _numbered_lines(path) as lines:
+        for line_no, line in lines:
+            parts = line.split()
+            if not parts:
+                continue
+            try:
+                if len(parts) != 6 or parts[1] != "Q0":
+                    raise ValueError("expected 6 columns with Q0")
+                query_key, _, doc_id, rank_s, score_s, _tag = parts
+                rank = int(rank_s)
+                score = float(score_s)
+                if rank < 1:
+                    raise ValueError("rank must be >= 1")
+                if not math.isfinite(score):
+                    raise ValueError("non-finite score")
+            except ValueError as exc:
+                raise InfoSearchError(f"{path}:{line_no}: malformed line: {exc}") from exc
+            columns = per_query.get(query_key)
+            if columns is None:
+                columns = per_query[query_key] = ([], [], array("d"))
+            columns[0].append(rank)
+            # a system's lists repeat a few thousand doc_ids: keep one string of each
+            columns[1].append(sys.intern(doc_id))
+            columns[2].append(1.0 / rank if score_from_rank else score)
 
     runset = RunSet(system_id=path.stem)
     for query_key in list(per_query):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import RankedList
 
@@ -118,6 +118,6 @@ def wise_ideal_query(r_ori: int, n: int, k: int) -> float:
     return max(wise_reward(r_ori, r, n, k) for r in range(1, min(r_ori, k) + 1))
 
 
-def wise_per(act: float, ideal: float, scale: float = 1.0) -> Optional[float]:
-    """WISE Per., the gap scale * (ideal - act) / ideal; None when ideal <= 0."""
-    return scale * (ideal - act) / ideal if ideal > 0 else None
+def wise_per(act: float, ideal: float, scale: float = 1.0) -> float:
+    """WISE Per., the gap scale * (ideal - act) / ideal; ideal > 0, as every Ideal is."""
+    return scale * (ideal - act) / ideal

@@ -434,9 +434,10 @@ def test_base_with_fewer_matches_than_top_k():
     docs = [doc(d, t) for d, t in [("d0", "x"), ("d1", "a a b"), ("d2", "a y"), ("d3", "z"),
                                    ("d4", "b y y y"), ("d5", "y")]]
     hits, core_top = search_from_core(docs, "a", "a b", 5)
-    assert core_top == ["d1", "d2"]
-    # b touches d1 again and d4, which scores below every document of the
-    # core's top; the zero-score fill follows in doc_id order
+    # the core's top ends with the zero-score fill, in doc_id order
+    assert core_top == ["d1", "d2", "d0", "d3", "d4"]
+    # b touches d1 again and d4, which leaves the fill and scores below every
+    # matched document of the core's top; the rest of the fill follows
     assert [d for d, _ in hits] == ["d1", "d2", "d4", "d0", "d3"]
     assert [score for _, score in hits[3:]] == [0.0, 0.0]
 

@@ -23,8 +23,6 @@ def test_per_gap_table_row():
 def test_per_gap_boundaries():
     assert wise_per(50.0, 50.0, 100.0) == 0.0
     assert wise_per(0.0, 50.0, 100.0) == 100.0
-    assert wise_per(1.0, 0.0, 100.0) is None
-    assert wise_per(1.0, -2.0, 100.0) is None
 
 
 def test_render_deterministic():

@@ -1,8 +1,10 @@
 import math
 import random
 import shutil
+import tempfile
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 from hypothesis import given, settings
@@ -125,20 +127,21 @@ def _like_real_runs(dataset, runset, rng, min_depth=0):
 QUERY_COLUMNS = ("ndcg_ins", "ndcg_rev", "mrr1_ins", "mrr1_rev", "p_mrr", "wise_act",
                  "wise_ideal", "sicr")
 
+SPECS = st.builds(
+    SynthSpec, seed=st.integers(0, 2**32 - 1),
+    dims=st.lists(st.sampled_from(list(Dimension)), min_size=1, max_size=3,
+                  unique=True).map(tuple),
+    cores_per_dim=st.integers(1, 3), conditions_per_core=st.integers(1, 3),
+    corpus_noise_docs=st.integers(1, 5), run_depth=st.integers(3, 12))
+CONFIGS = st.builds(MetricConfig, k_ndcg=st.integers(1, 10), k_wise=st.integers(1, 20),
+                    p_mrr_sign=st.sampled_from((PMRR_AS_PRINTED, PMRR_FLIPPED)))
+
 
 def test_differential_on_cut_tied_single_positive_runs():
     seen = Counter()
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(spec=st.builds(
-               SynthSpec, seed=st.integers(0, 2**32 - 1),
-               dims=st.lists(st.sampled_from(list(Dimension)), min_size=1, max_size=3,
-                             unique=True).map(tuple),
-               cores_per_dim=st.integers(1, 3), conditions_per_core=st.integers(1, 3),
-               corpus_noise_docs=st.integers(1, 5), run_depth=st.integers(3, 12)),
-           behavior=st.sampled_from(BEHAVIORS),
-           cfg=st.builds(MetricConfig, k_ndcg=st.integers(1, 10), k_wise=st.integers(1, 20),
-                         p_mrr_sign=st.sampled_from((PMRR_AS_PRINTED, PMRR_FLIPPED))),
+    @given(spec=SPECS, behavior=st.sampled_from(BEHAVIORS), cfg=CONFIGS,
            rng=st.randoms(use_true_random=False))
     def check(spec, behavior, cfg, rng):
         ds = gen_synthetic_dataset(spec)
@@ -170,6 +173,72 @@ def test_differential_on_cut_tied_single_positive_runs():
     check()
     cases = ("gold missing", "tied list", "empty list", "degenerate reversed")
     assert all(seen[case] for case in cases), seen
+
+
+def _append_below_the_gold(dataset, runs, system_dir, rng):
+    """Append to the run files of system_dir 1 to 3 entries below each list
+    that holds its gold (an Original list, every gold of its core), with
+    scores below the list's lowest: the core's positives that the list lacks
+    first, then other documents.  Returns the set of (key, mode) of the lists grown."""
+    golds = {}
+    for iq in dataset.instructed_queries.values():
+        golds.setdefault((iq.core_id, Mode.ORIGINAL), set()).add(iq.gold_doc_id)
+        golds[iq.query_id, Mode.INSTRUCTED] = golds[iq.query_id, Mode.REVERSED] = {
+            iq.gold_doc_id}
+    others = sorted(dataset.documents)
+    grown = set()
+    for (key, mode), gold in golds.items():
+        ranked = runs.lists[key, mode]
+        if not gold <= set(ranked.doc_ids):
+            continue
+        core_id = key if mode is Mode.ORIGINAL else dataset.instructed_queries[key].core_id
+        rng.shuffle(others)
+        extra = [d for d in dict.fromkeys(
+            [*dataset.core_queries[core_id].positive_ids(), *others])
+            if d not in ranked.doc_ids][:rng.randint(1, 3)]
+        with (system_dir / ingest.MODE_FILES[mode]).open("a") as fh:
+            for i, doc_id in enumerate(extra, start=1):
+                fh.write(f"{key} Q0 {doc_id} {len(ranked) + i} {min(ranked.scores) - i!r} x\n")
+        if extra:
+            grown.add((key, mode))
+    return grown
+
+
+def test_entries_below_the_gold_change_no_score():
+    # the gold keeps its rank and score in every mode, so SICR, WISE and
+    # p-MRR stay bit-identical; nDCG@k does too where the list was k deep
+    seen = Counter()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(spec=SPECS, behavior=st.sampled_from(BEHAVIORS), cfg=CONFIGS,
+           rng=st.randoms(use_true_random=False))
+    def check(spec, behavior, cfg, rng):
+        ds = gen_synthetic_dataset(spec)
+        ds, runs, _ = _like_real_runs(ds, gen_synthetic_runs(ds, spec, behavior), rng,
+                                      min_depth=1)  # a run file holds no empty list
+        with tempfile.TemporaryDirectory() as tmp:
+            system = Path(tmp) / behavior
+            ingest.write_system(ds, runs, system, tag=behavior)
+            before, rows_before = evaluate_system(ds, ingest.load_system(system), cfg)
+            grown = _append_below_the_gold(ds, runs, system, rng)
+            after, rows_after = evaluate_system(ds, ingest.load_system(system), cfg)
+        seen["grown"] += len(grown)
+        for old, new in zip(before, after):
+            assert old.gold == new.gold
+            for name in ("sicr", "wise_act", "wise_ideal", "p_mrr"):
+                assert repr(getattr(old, name)) == repr(getattr(new, name)), name
+            for name, key, mode in (("ndcg_ori", old.core_id, Mode.ORIGINAL),
+                                    ("ndcg_ins", old.query_id, Mode.INSTRUCTED),
+                                    ("ndcg_rev", old.query_id, Mode.REVERSED)):
+                if (key, mode) in grown and len(runs.lists[key, mode]) >= cfg.k_ndcg:
+                    seen["grown k deep"] += 1
+                    assert repr(getattr(old, name)) == repr(getattr(new, name)), name
+        for old, new in zip(rows_before, rows_after):
+            for name in ("sicr", "wise_act", "wise_ideal", "per", "p_mrr"):
+                assert repr(getattr(old, name)) == repr(getattr(new, name)), name
+
+    check()
+    assert seen["grown"] and seen["grown k deep"], seen
 
 
 def _swap_modes(system_dir, out):
