@@ -5,10 +5,12 @@ desk corpora cannot produce negative scores.  The tokenizer lowercases,
 groups runs of Unicode letters/digits, and emits CJK codepoints as
 single-character tokens (the corpus contains Chinese documents).
 
-An instructed or reversed query is usually its core query's text followed by
-the instruction, so ``run_all_modes`` ranks each core query once, with
-``core_base``, whose top ends with a zero-score fill when fewer than top_k
-documents match, and passes it to ``search`` as ``base`` for the core's own
+``build_index`` numbers the documents in doc_id order, so every ranking
+entry is ``(-score, ordinal)``: ordinal order is the tie order.  An instructed
+or reversed query is usually its core query's text followed by the
+instruction, so ``run_all_modes`` ranks each core query once, with
+``core_base``, whose top ends with the unmatched documents among the first
+top_k ordinals, and passes it to ``search`` as ``base`` for the core's own
 queries.  A search at the base's top_k whose query begins with the base's
 tokens scores only the documents that its other tokens touch; any other
 search starts from the base of no tokens.  Scores only grow beyond the core's,
@@ -32,7 +34,6 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
 
 from .core import Dataset, Document, InstructedQuery, Mode, RankedList, RunSet
 from .errors import InfoSearchError
@@ -76,10 +77,9 @@ class InvertedIndex:
     # object per document and tf, shared by every term with that tf there
     postings: dict[str, list[tuple[int, int]]]
     doc_count: int
-    doc_ids: list[str]
+    doc_ids: list[str]  # per ordinal, ascending
     idf: dict[str, float]
     norms: list[float]  # per ordinal: k1 * (1 - b + b * doc_length / avg_doc_length)
-    by_doc_id: list[int]  # ordinals in ascending doc_id order
 
 
 def build_index(documents: list[Document], params: Bm25Params = Bm25Params(),
@@ -91,7 +91,8 @@ def build_index(documents: list[Document], params: Bm25Params = Bm25Params(),
     postings: dict[str, list[tuple[int, int]]] = {}
     doc_lengths: list[int] = []
     doc_ids: list[str] = []
-    for ordinal, doc in enumerate(documents):
+    # ordinals in doc_id order make the ordinal the tie-break of every ranking
+    for ordinal, doc in enumerate(sorted(documents, key=lambda d: d.doc_id)):
         tokens = tokenize(doc.text)
         doc_lengths.append(len(tokens))
         doc_ids.append(doc.doc_id)
@@ -107,7 +108,7 @@ def build_index(documents: list[Document], params: Bm25Params = Bm25Params(),
     # an average of 0 means no document has a term, so no norm is ever read
     norms = [k1 * (1.0 - b + b * dl / avg) for dl in doc_lengths] if avg else [0.0] * n
     return InvertedIndex(params=params, postings=postings, doc_count=n, doc_ids=doc_ids,
-                         idf=idf, norms=norms, by_doc_id=sorted(range(n), key=doc_ids.__getitem__))
+                         idf=idf, norms=norms)
 
 
 def _accumulate(index: InvertedIndex, terms: list[str],
@@ -130,29 +131,26 @@ def _accumulate(index: InvertedIndex, terms: list[str],
     return scores
 
 
-def _top(index: InvertedIndex, scores: dict[int, float],
-         top_k: int) -> list[tuple[float, str, int]]:
-    """``(-score, doc_id, ordinal)`` of every document in ``scores`` at or
-    above the top_k-th best score among them, unsorted."""
+def _top(scores: dict[int, float], top_k: int) -> list[tuple[float, int]]:
+    """``(-score, ordinal)`` of every document in ``scores`` at or above the
+    top_k-th best score among them, unsorted."""
     cutoff = heapq.nlargest(top_k, scores.values())[-1] if len(scores) > top_k else 0.0
-    doc_ids = index.doc_ids
-    return [(-score, doc_ids[ordinal], ordinal)
-            for ordinal, score in scores.items() if score >= cutoff]
+    return [(-score, ordinal) for ordinal, score in scores.items() if score >= cutoff]
 
 
 # (tokens, score per ordinal, top, top_k): see core_base
-Base = tuple[list[str], list[float], list[tuple[float, str, int]], int]
+Base = tuple[list[str], list[float], list[tuple[float, int]], int]
 
 
 def core_base(index: InvertedIndex, tokens: list[str], top_k: int) -> Base:
     """``search``'s base for the queries at ``top_k`` that begin with ``tokens``.
 
     It holds the tokens, each document's score for them (0.0 where none
-    matches), their top: ``(-score, doc_id, ordinal)`` of every document at
-    or above their top_k-th best score, sorted once here, so that each
-    search sorts it as one run, then the zero-score fill up to top_k entries:
-    ``(-0.0, doc_id, ordinal)`` of the unmatched documents in doc_id order;
-    and top_k.
+    matches), their top: ``(-score, ordinal)`` of every document at or above
+    their top_k-th best score, sorted once here, so that each search sorts it
+    as one run, then the zero-score fill: ``(-0.0, ordinal)`` of the first
+    top_k ordinals that the tokens do not match, which hold every zero-score
+    document that a list of fewer than top_k matches ends with; and top_k.
     """
     if top_k < 1:
         raise ValueError("require top_k >= 1")
@@ -161,14 +159,15 @@ def core_base(index: InvertedIndex, tokens: list[str], top_k: int) -> Base:
     for ordinal, score in matched.items():
         scores[ordinal] = score
     # each idf is > 0, so the fill sorts after every match; -0.0 negates to 0.0
-    unmatched = (o for o in index.by_doc_id if o not in matched)
-    fill = [(-0.0, index.doc_ids[o], o) for o in islice(unmatched, max(0, top_k - len(matched)))]
-    return tokens, scores, sorted(_top(index, matched, top_k)) + fill, top_k
+    fill = [(-0.0, o) for o in range(min(top_k, index.doc_count)) if o not in matched]
+    return tokens, scores, sorted(_top(matched, top_k)) + fill, top_k
 
 
 def search(index: InvertedIndex, params: Bm25Params, query_text: str, top_k: int,
            base: Base | None = None) -> list[tuple[str, float]]:
-    """Top-k (doc_id, score) pairs, ties broken by ascending doc_id.
+    """Top-k (doc_id, score) pairs, ties broken by ascending doc_id, which is
+    ascending ordinal: entries sort as ``(-score, ordinal)``, and only the
+    top_k returned are mapped to doc_ids.
 
     Only documents in the query terms' postings are scored; when fewer than
     top_k match, the list ends with the base's fill of 0.0-scored documents.
@@ -190,10 +189,10 @@ def search(index: InvertedIndex, params: Bm25Params, query_text: str, top_k: int
         base = core_base(index, [], top_k)
     tokens, base_scores, base_top, _ = base
     touched = _accumulate(index, terms[len(tokens):], base_scores)
-    ranked = [entry for entry in base_top if entry[2] not in touched]
-    ranked += _top(index, touched, top_k)
+    ranked = [entry for entry in base_top if entry[1] not in touched]
+    ranked += _top(touched, top_k)
     ranked.sort()
-    return [(doc_id, -neg) for neg, doc_id, _ in ranked[:top_k]]
+    return [(index.doc_ids[ordinal], -neg) for neg, ordinal in ranked[:top_k]]
 
 
 def run_all_modes(dataset: Dataset, params: Bm25Params, top_k: int) -> RunSet:

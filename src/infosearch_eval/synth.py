@@ -113,6 +113,9 @@ def gen_synthetic_runs(dataset: Dataset, spec: SynthSpec, behavior: str) -> RunS
             noise_by_dim.setdefault(doc.dimension, []).append(doc.doc_id)
     for ids in noise_by_dim.values():
         ids.sort()
+    variants: dict[str, list[InstructedQuery]] = {}
+    for iq in dataset.instructed_queries.values():
+        variants.setdefault(iq.core_id, []).append(iq)
 
     for cq in dataset.core_queries.values():
         positives = list(cq.positive_ids())
@@ -121,16 +124,12 @@ def gen_synthetic_runs(dataset: Dataset, spec: SynthSpec, behavior: str) -> RunS
         noise = noise_by_dim.get(cq.dimension, [])[:max(1, spec.run_depth - n)]
         candidates = positives + noise
 
+        ori = candidates[:]  # unless shuffled: positives at the top, gold j at rank j+1
         if behavior == BEHAVIOR_RANDOM:
-            ori = candidates[:]
             rng.shuffle(ori)
-        else:
-            ori = candidates[:]  # positives at the top, gold j at rank j+1
         runset.add(_score_list(cq.core_id, Mode.ORIGINAL, ori))
 
-        variants = [iq for iq in dataset.instructed_queries.values()
-                    if iq.core_id == cq.core_id]
-        for iq in variants:
+        for iq in variants.get(cq.core_id, []):
             gold = iq.gold_doc_id
             others = [d for d in positives if d != gold]
             if behavior == BEHAVIOR_PERFECT:

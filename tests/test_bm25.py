@@ -306,7 +306,7 @@ def test_run_all_modes_equals_per_query_search_on_datasets(desk_dataset):
 def test_run_all_modes_indexes_only_its_queries_tokens(desk_dataset, monkeypatch):
     """The index run_all_modes builds is the full index cut to the tokens of
     the texts it searches: the same postings, pairs and idf of those tokens
-    in the same order, and the norms and doc_id orders of every document."""
+    in the same order, and the norms and doc_ids of every document."""
     built = []
 
     def keep(*args):
@@ -328,8 +328,37 @@ def test_run_all_modes_indexes_only_its_queries_tokens(desk_dataset, monkeypatch
             (t, plist) for t, plist in full.postings.items() if t in query_tokens]
         assert list(index.idf.items()) == [
             (t, idf) for t, idf in full.idf.items() if t in query_tokens]
-        assert (index.norms, index.doc_ids, index.by_doc_id, index.doc_count) == (
-            full.norms, full.doc_ids, full.by_doc_id, full.doc_count)
+        assert (index.norms, index.doc_ids, index.doc_count) == (
+            full.norms, full.doc_ids, full.doc_count)
+
+
+# d0 to d12: string order puts d10, d11 and d12 before d2; repeated texts tie
+ORDER_DOCS = ["plum fig", "fig", "plum", "kiwi", "plum fig", "fig", "lime", "plum",
+              "kiwi kiwi", "fig", "plum fig", "date", "lime"]
+
+
+def test_run_all_modes_does_not_depend_on_document_order(desk_dataset):
+    """build_index numbers the documents in doc_id order, so shuffling them
+    changes no list, whether a top_k cuts a tie or a zero-score fill."""
+    numbered = prefix_dataset(ORDER_DOCS, {"c0": "plum", "c1": "kiwi", "c2": "mango"}, [
+        ("c0", "plum fig", "plum lime"), ("c1", "kiwi date", "kiwi"),
+        ("c2", "mango fig", "mango x")])
+    assert sorted(numbered.documents) != sorted(numbered.documents, key=lambda d: int(d[1:]))
+    params, rng = Bm25Params(), random.Random(29)
+
+    def lists(dataset, top_k):
+        return {key: ranked.entries
+                for key, ranked in run_all_modes(dataset, params, top_k).lists.items()}
+
+    for dataset in (gen_synthetic_dataset(SynthSpec(seed=7)), desk_dataset, numbered):
+        for top_k in (1, 3, 20, 100):
+            expected = lists(dataset, top_k)
+            for _ in range(3):
+                documents = list(dataset.documents.items())
+                rng.shuffle(documents)
+                shuffled = Dataset(dict(documents), dataset.core_queries,
+                                   dataset.instructed_queries)
+                assert lists(shuffled, top_k) == expected
 
 
 WORDS = ["foo", "bar", "foobar", "x", "Foo", "糖", "尿", "病", "plum", ""]
@@ -408,7 +437,7 @@ def search_from_core(docs, core, query, top_k):
     expected = brute_force_rank(docs, params, query)[:top_k]
     assert hits == search(idx, params, query, top_k) == expected
     assert search(idx, params, core, top_k, base) == brute_force_rank(docs, params, core)[:top_k]
-    return hits, [doc_id for _, doc_id, _ in base[2]]
+    return hits, [idx.doc_ids[o] for _, o in base[2]]
 
 
 def test_base_touched_document_rises_into_the_top():
@@ -421,7 +450,7 @@ def test_base_touched_document_rises_into_the_top():
 
 
 def test_base_tie_at_the_cutoff_is_broken_by_doc_id():
-    # d1, d2 and d3 tie for the core's 2nd score, and are indexed out of doc_id order
+    # d1, d2 and d3 tie for the core's 2nd score, and are given out of doc_id order
     docs = [doc(d, t) for d, t in [("d0", "a a"), ("d3", "a q"), ("d1", "a z"),
                                    ("d2", "a z"), ("d4", "z z")]]
     hits, core_top = search_from_core(docs, "a", "a q", 3)

@@ -10,7 +10,7 @@ from infosearch_eval.core import (Dimension, Document, InstructedQuery, Mode,
 from infosearch_eval.errors import InfoSearchError
 
 
-def test_rank_of_basic():
+def test_ranked_list_orders_by_descending_score():
     # a doc's rank is one plus its position in doc_ids
     rl = RankedList("q", Mode.ORIGINAL, [("b", 0.5), ("a", 0.9)])
     assert rl.doc_ids == ("a", "b")
@@ -18,7 +18,7 @@ def test_rank_of_basic():
     assert "c" not in rl.doc_ids
 
 
-def test_rank_of_tie_broken_by_doc_id():
+def test_ranked_list_breaks_ties_by_doc_id():
     rl = RankedList("q", Mode.ORIGINAL, [("b", 0.9), ("a", 0.9)])
     assert rl.doc_ids == ("a", "b")
 
@@ -65,7 +65,7 @@ def test_canonicalization_idempotent(entries):
 
 
 @given(entries_st)
-def test_rank_of_is_bijection(entries):
+def test_ranked_list_holds_each_doc_once(entries):
     rl = RankedList("q", Mode.ORIGINAL, entries)
     assert sorted(rl.doc_ids) == sorted(doc_id for doc_id, _ in entries)
     assert len(set(rl.doc_ids)) == len(entries)
@@ -75,7 +75,7 @@ def test_rank_of_is_bijection(entries):
                           st.sampled_from([-1.0, 0.0, 0.5, 2.0])),
                 unique_by=lambda e: e[0], max_size=30),
        st.integers(0, 30).map(lambda i: f"d{i:02d}"))
-def test_rank_of_is_the_canonical_position_on_tied_lists(entries, probe):
+def test_ranked_list_puts_each_entry_at_its_canonical_position(entries, probe):
     rl = RankedList("q", Mode.ORIGINAL, entries)
     for doc_id, score in entries:
         # canonical position: the entries with a higher score, or an equal

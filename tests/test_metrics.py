@@ -189,6 +189,22 @@ def test_wise_case_totality_and_range():
                 assert -1.0 <= value <= 1.0
 
 
+@given(st.integers(1, 40), st.integers(1, 8), st.integers(1, 60), st.integers(1, 60))
+def test_wise_is_within_its_range(k, n, r_ori, r_rev):
+    # every r_ins for the drawn K, positives, r_ori and r_rev
+    cfg = MetricConfig(k_wise=k)
+    for r_ins in range(1, 61):
+        assert -1.0 <= wise_query(ctx(r_ori, r_ins, r_rev, n=n), cfg) <= 1.0
+
+
+@given(st.integers(1, 60), st.integers(1, 60))
+def test_sicr_never_falls_as_the_gold_moves_up(r_ori, r_rev):
+    """With every score 1/rank, moving the gold up one instructed rank,
+    from any rank in 2-60, never lowers SICR."""
+    indicators = [sicr_indicator(ctx(r_ori, r_ins, r_rev)) for r_ins in range(1, 61)]
+    assert all(up >= down for up, down in zip(indicators, indicators[1:]))
+
+
 def test_sicr_success_implies_positive_wise():
     cfg = MetricConfig()
     for r_ins in range(1, 21):

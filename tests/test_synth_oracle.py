@@ -241,6 +241,49 @@ def test_entries_below_the_gold_change_no_score():
     assert seen["grown"] and seen["grown k deep"], seen
 
 
+def _rename_doc_ids(dataset, runs, rename):
+    """The dataset and runs with each doc_id d named rename[d]."""
+    documents = {rename[d]: replace(doc, doc_id=rename[d]) for d, doc in dataset.documents.items()}
+    core_queries = {c: replace(core, positives=tuple((rename[d], cond)
+                                                     for d, cond in core.positives))
+                    for c, core in dataset.core_queries.items()}
+    instructed = {q: replace(iq, gold_doc_id=rename[iq.gold_doc_id])
+                  for q, iq in dataset.instructed_queries.items()}
+    renamed = RunSet(runs.system_id)
+    for (key, mode), ranked in runs.lists.items():
+        renamed.add(RankedList(key, mode, [(rename[d], s) for d, s in ranked.entries]))
+    return Dataset(documents, core_queries, instructed), renamed
+
+
+def test_renaming_doc_ids():
+    # doc_ids only break ties: a renaming that keeps their order leaves every
+    # row bit-identical, and one that reverses it changes rows only where a
+    # list holds a tie, and does change some
+    seen = Counter()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(spec=SPECS, behavior=st.sampled_from(BEHAVIORS), cfg=CONFIGS,
+           rng=st.randoms(use_true_random=False))
+    def check(spec, behavior, cfg, rng):
+        ds = gen_synthetic_dataset(spec)
+        ds, runs, _ = _like_real_runs(ds, gen_synthetic_runs(ds, spec, behavior), rng)
+
+        def rows(dataset, runset):
+            return [repr(row) for row in evaluate_system(dataset, runset, cfg)[1]]
+
+        before = rows(ds, runs)
+        ids = sorted(ds.documents)
+        names = [f"x{n:06d}" for n in sorted(rng.sample(range(10**6), len(ids)))]
+        assert rows(*_rename_doc_ids(ds, runs, dict(zip(ids, names)))) == before
+        changed = rows(*_rename_doc_ids(ds, runs, dict(zip(ids, names[::-1])))) != before
+        tied = any(len(set(ranked.scores)) < len(ranked) for ranked in runs.lists.values())
+        assert tied or not changed
+        seen["changed"] += changed
+
+    check()
+    assert seen["changed"], seen
+
+
 def _swap_modes(system_dir, out):
     """A copy of a system directory with instructed.run and reversed.run exchanged."""
     out.mkdir()
