@@ -7,12 +7,12 @@ or environment problem (a ``ValueError`` from an option's settings, an
 with a dataset on stdout instead, as its report.  Run directories hold one
 subdirectory per system, which ``ingest.load_system`` reads and
 ``ingest.write_system`` writes.  ``evaluate`` loads the dataset once and
-evaluates the systems in forked worker processes, one per CPU in the
-process's affinity mask and at most one per system, so ``taskset`` caps
-them; with one such CPU, or where ``fork`` is not available, it evaluates
-them one after another in this process.  Reports and errors are the same
-either way: the first faulty system in sorted order decides the exit code
-and the one error line.  The scoring options (``--k``, ``--wise-k``,
+forks one worker process per system, with at most one running per CPU in
+the process's affinity mask, so ``taskset`` caps them; with one such CPU,
+or where ``os.fork`` is not available, it evaluates the systems one after
+another in this process.  Reports and errors are the same either way: the
+first faulty system in sorted order decides the exit code and the one
+error line.  The scoring options (``--k``, ``--wise-k``,
 ``--p-mrr-sign``, ``--score-from-rank``) follow ``evaluate`` or ``oracle``.
 Each command imports the modules that only it uses, ``bm25``, ``synth`` or
 ``oracle``, when it runs, and a settings option that is not given takes its
@@ -99,6 +99,64 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _fork_each(system_dirs: list[Path], workers: int) -> list:
+    """The outcome of _evaluate_one for each system, its rows or the exception
+    it raised, each evaluated in a forked child, at most ``workers`` at once.
+
+    A child sends its pickled outcome through its own pipe, which this
+    process reads as data arrives, so that no outcome is too large for a pipe.
+    """
+    # imported here: only this path uses them
+    import pickle
+    import select
+    import signal
+    outcomes: list = [None] * len(system_dirs)
+    running = {}  # read end of a child's pipe -> (system index, pid, chunks read)
+
+    def read_ready():
+        for read_end in select.select(list(running), [], [])[0]:
+            index, pid, chunks = running[read_end]
+            chunk = os.read(read_end, 1 << 16)
+            if chunk:
+                chunks.append(chunk)
+                continue
+            del running[read_end]
+            os.close(read_end)
+            outcomes[index] = (pickle.loads(b"".join(chunks)) if os.waitpid(pid, 0)[1] == 0
+                               else ChildProcessError("an evaluate worker process died"))
+
+    try:
+        for index, system_dir in enumerate(system_dirs):
+            while len(running) == workers:
+                read_ready()
+            read_end, write_end = os.pipe()
+            # this process runs no other thread when it forks
+            pid = os.fork()
+            # the child leaves through os._exit, so that it flushes none of this
+            # process's buffers and runs none of its clean-up
+            if pid == 0:
+                try:
+                    try:
+                        outcome = _evaluate_one(system_dir)
+                    except Exception as exc:
+                        outcome = exc
+                    with open(write_end, "wb") as pipe:
+                        pickle.dump(outcome, pipe)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write_end)
+            running[read_end] = (index, pid, [])
+        while running:
+            read_ready()
+    finally:
+        for read_end, (_, pid, _) in running.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read_end)
+    return outcomes
+
+
 def _evaluate_all(dataset: Dataset, system_dirs: list[Path], cfg: MetricConfig,
                   score_from_rank: bool) -> list[list[DimensionSummary]]:
     """The result rows of each system, in the order of system_dirs.
@@ -110,23 +168,16 @@ def _evaluate_all(dataset: Dataset, system_dirs: list[Path], cfg: MetricConfig,
     _evaluate_args = (dataset, cfg, score_from_rank)
     try:
         workers = min(_cpu_count(), len(system_dirs))
-        if workers > 1:
-            # imported here: it costs every other command time and memory
-            import multiprocessing
-            if "fork" in multiprocessing.get_all_start_methods():
-                from concurrent.futures import ProcessPoolExecutor
-                from concurrent.futures.process import BrokenProcessPool
-                # fork, so that each worker inherits _evaluate_args instead of
-                # unpickling the dataset; this process runs no other thread when it forks
-                try:
-                    with ProcessPoolExecutor(
-                            workers, mp_context=multiprocessing.get_context("fork")) as pool:
-                        return list(pool.map(_evaluate_one, system_dirs))
-                except BrokenProcessPool as exc:
-                    raise ChildProcessError("an evaluate worker process died") from exc
-        return [_evaluate_one(d) for d in system_dirs]
+        if workers < 2 or not hasattr(os, "fork"):
+            return [_evaluate_one(d) for d in system_dirs]
+        # forked, so that each child inherits _evaluate_args instead of unpickling the dataset
+        outcomes = _fork_each(system_dirs, workers)
     finally:
         _evaluate_args = None
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
 
 
 def cmd_evaluate(args) -> int:

@@ -3,10 +3,10 @@
 The CPU count is forced by replacing ``os.sched_getaffinity``: one CPU takes
 the plain loop in this process, the reference; two take the forked workers.
 The fixture has three systems, anti, perfect and random in sorted order, and
-each fault, or run-file shape, goes into perfect, the second.
+each fault, or run-file shape, goes into perfect, the second.  No evaluate
+leaves a child process behind.
 """
 
-import multiprocessing
 import os
 import shutil
 import subprocess
@@ -15,10 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from infosearch_eval import cli, ingest
+from infosearch_eval import cli, ingest, synth
 
-needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                                reason="the worker path needs the fork start method")
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the worker path needs fork")
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -36,6 +35,8 @@ def _evaluate(fixture_dirs, out, cpus, monkeypatch, capsys, *options):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     capsys.readouterr()
     rc = cli.main(["evaluate", str(dataset_dir), str(runs_dir), "--out", str(out), *options])
+    with pytest.raises(ChildProcessError):  # every worker has been reaped
+        os.waitpid(-1, os.WNOHANG)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
 
@@ -82,7 +83,7 @@ def test_reports_identical_across_worker_counts(fmt, fixture_dirs, tmp_path, mon
 def test_plain_loop_without_fork(fixture_dirs, tmp_path, monkeypatch, capsys):
     log = tmp_path / "pids"
     _record_pids(monkeypatch, log)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.delattr(os, "fork")
     assert _evaluate(fixture_dirs, tmp_path / "out", 2, monkeypatch, capsys)[0] == 0
     assert _pids(log) == {os.getpid()}
 
@@ -125,6 +126,7 @@ def _tie_in_descending_doc_id_order(lines):
 
 
 PERFECT = "{runs}/perfect/"
+LONG_SCORE = "x" * 100_000
 SCORE_ORDER_AT_RANK_1 = (
     f"{PERFECT}instructed.run: score order contradicts rank order for 'audience-c000-q1'"
     " at rank 1 (tied scores rank by ascending doc_id; --score-from-rank uses the ranks alone)")
@@ -154,9 +156,13 @@ SCORE_ORDER_AT_RANK_1 = (
      f"{PERFECT}instructed.run:1: malformed line: non-finite score"),
     (_edit("instructed.run", _tie_in_descending_doc_id_order), 1,
      SCORE_ORDER_AT_RANK_1),
+    # float() repeats the token, so the outcome is larger than a pipe's buffer
+    (_edit("instructed.run", _set_column(0, 4, LONG_SCORE)), 1,
+     f"{PERFECT}instructed.run:1: malformed line: could not convert string to float: "
+     f"'{LONG_SCORE}'"),
 ], ids=["malformed-line", "repeated-doc", "rank-gap", "score-order", "missing-list",
         "missing-run-file", "byte-order-mark", "tab-separated", "crlf", "repeated-line",
-        "rank-0", "nan-score", "tie-in-descending-doc-id-order"])
+        "rank-0", "nan-score", "tie-in-descending-doc-id-order", "long-score"])
 def test_fault_in_second_system(prepare, code, line, fixture_dirs, tmp_path, monkeypatch,
                                 capsys):
     """Each fault, or each shape a run file takes, in the second system.
@@ -226,7 +232,66 @@ def test_malformed_line_exits_1_from_the_command_line(fixture_dirs, tmp_path):
     assert proc.stdout == "" and not out.exists()
 
 
-DYING_WORKER = """
+@needs_fork
+def test_dead_worker_exits_2(fixture_dirs, tmp_path, monkeypatch, capsys):
+    parent, load_system = os.getpid(), ingest.load_system
+
+    def dying(system_dir, *rest):
+        if system_dir.name == "perfect":
+            assert os.getpid() != parent, "evaluated in the parent process"
+            os._exit(3)
+        return load_system(system_dir, *rest)
+    monkeypatch.setattr(ingest, "load_system", dying)
+    out = tmp_path / "out"
+    assert _evaluate(fixture_dirs, out, 2, monkeypatch, capsys) == (
+        2, "", "error: an evaluate worker process died\n")
+    assert not out.exists()
+
+
+@needs_fork
+def test_other_systems_reports_do_not_depend_on_an_added_system(fixture_dirs, tmp_path,
+                                                                monkeypatch, capsys):
+    """Adding a system directory leaves every other system's report, and its
+    leaderboard row, byte-identical, on one CPU and on two."""
+    dataset_dir, runs_dir = fixture_dirs
+    reference = tmp_path / "reference"
+    assert _evaluate(fixture_dirs, reference, 1, monkeypatch, capsys)[0] == 0
+    # sorted second and far deeper than the others, so that on two CPUs the
+    # systems after it finish first
+    dataset = ingest.load_dataset(dataset_dir)
+    runs = synth.gen_synthetic_runs(dataset, synth.SynthSpec(seed=14), "random")
+    for ranked in runs.lists.values():
+        ranked.entries = ranked.entries + tuple((f"extra-d{n:05d}", 0.0) for n in range(2000))
+    ingest.write_system(dataset, runs, runs_dir / "deep", tag="deep")
+    for cpus in (1, 2):
+        out = tmp_path / f"cpus-{cpus}"
+        assert _evaluate(fixture_dirs, out, cpus, monkeypatch, capsys)[0] == 0
+        reports = _tree(out)
+        leaderboard = reports.pop("leaderboard.csv").splitlines()
+        reference_reports = _tree(reference)
+        assert reference_reports.pop("leaderboard.csv").splitlines() == [
+            line for line in leaderboard if not line.startswith(b"deep,")]
+        assert reports.pop("deep.csv") and reports == reference_reports
+
+
+def test_importing_the_cli_leaves_out_multiprocessing(fixture_dirs, tmp_path):
+    """Only the commands that use bm25, oracle and synth import them, and
+    evaluate forks its workers without multiprocessing or concurrent.futures."""
+    modules = ["multiprocessing", "concurrent.futures", "infosearch_eval.bm25",
+               "infosearch_eval.oracle", "infosearch_eval.synth"]
+    proc = _run_python(["-c", "import sys, infosearch_eval.cli; "
+                        f"print([m for m in {modules!r} if m in sys.modules])"], tmp_path)
+    assert proc.returncode == 0 and proc.stdout == "[]\n"
+    if not hasattr(os, "fork"):
+        return
+    dataset_dir, runs_dir = fixture_dirs
+    proc = _run_python(["-c", EVALUATE_ON_TWO_CPUS, "evaluate", str(dataset_dir), str(runs_dir),
+                        "--out", str(tmp_path / "out")], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+EVALUATE_ON_TWO_CPUS = """
 import os, sys
 from infosearch_eval import cli, ingest
 
@@ -234,33 +299,12 @@ parent = os.getpid()
 os.sched_getaffinity = lambda pid: {0, 1}
 load_system = ingest.load_system
 
-def dying(system_dir, *rest):
-    if system_dir.name == "perfect":
-        assert os.getpid() != parent, "evaluated in the parent process"
-        os._exit(3)
-    return load_system(system_dir, *rest)
+def in_a_child(*args):
+    assert os.getpid() != parent, "evaluated in the parent process"
+    return load_system(*args)
 
-ingest.load_system = dying
-sys.exit(cli.main(sys.argv[1:]))
+ingest.load_system = in_a_child
+rc = cli.main(sys.argv[1:])
+print([m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules])
+sys.exit(rc)
 """
-
-
-@needs_fork
-def test_dead_worker_exits_2(fixture_dirs, tmp_path):
-    dataset_dir, runs_dir = fixture_dirs
-    out = tmp_path / "out"
-    proc = _run_python(["-c", DYING_WORKER, "evaluate", str(dataset_dir), str(runs_dir),
-                        "--out", str(out)], tmp_path)
-    assert proc.returncode == 2
-    assert proc.stderr.splitlines() == ["error: an evaluate worker process died"]
-    assert proc.stdout == "" and not out.exists()
-
-
-def test_importing_the_cli_leaves_out_multiprocessing(tmp_path):
-    """Only evaluate's worker path pays for importing multiprocessing, and
-    only the commands that use bm25, oracle and synth import them."""
-    modules = ["multiprocessing", "infosearch_eval.bm25", "infosearch_eval.oracle",
-               "infosearch_eval.synth"]
-    proc = _run_python(["-c", "import sys, infosearch_eval.cli; "
-                        f"print([m for m in {modules!r} if m in sys.modules])"], tmp_path)
-    assert proc.returncode == 0 and proc.stdout == "[]\n"
