@@ -1,22 +1,23 @@
 """Command-line surface: validate, evaluate, bm25-run, synth, oracle.
 
-Exit codes: 0 success, 1 data problem (an ``InfoSearchError``), 2 usage
-or environment problem (a ``ValueError`` from an option's settings, an
+Exit codes: 0 success, 1 data problem (an ``InfoSearchError``), 2 usage or
+environment problem (a ``ValueError`` from an option's settings, an
 ``OSError``).  ``main`` turns every failure into its exit code and one
-``error:`` line on stderr; ``validate`` prints what is wrong
-with a dataset on stdout instead, as its report.  Run directories hold one
-subdirectory per system, which ``ingest.load_system`` reads and
-``ingest.write_system`` writes.  ``evaluate`` loads the dataset once and
-forks one worker process per system, with at most one running per CPU in
-the process's affinity mask, so ``taskset`` caps them; with one such CPU,
-or where ``os.fork`` is not available, it evaluates the systems one after
-another in this process.  Reports and errors are the same either way: the
-first faulty system in sorted order decides the exit code and the one
-error line.  The scoring options (``--k``, ``--wise-k``,
-``--p-mrr-sign``, ``--score-from-rank``) follow ``evaluate`` or ``oracle``.
-Each command imports the modules that only it uses, ``bm25``, ``synth`` or
-``oracle``, when it runs, and a settings option that is not given takes its
-default from the settings type.
+``error:`` line on stderr; ``validate`` prints what is wrong with a dataset
+on stdout instead, as its report.  Run directories hold one subdirectory per
+system, which ``ingest.load_system`` reads and ``ingest.write_system``
+writes.  ``evaluate`` loads the dataset once and forks one child per CPU in
+the process's affinity mask, so ``taskset`` caps them, and never more
+children than systems; each child takes the next system in sorted order as
+soon as it has finished its last.  With one such CPU, or where ``os.fork``
+is not available, it evaluates the systems one after another in this
+process.  Reports and errors are the same either way: the first faulty
+system in sorted order, or the first whose child died on it, decides the
+exit code and the one error line.  The scoring options (``--k``,
+``--wise-k``, ``--p-mrr-sign``, ``--score-from-rank``) follow ``evaluate``
+or ``oracle``.  Each command imports the modules that only it uses,
+``bm25``, ``synth`` or ``oracle``, when it runs, and a settings option that
+is not given takes its default from the settings type.
 """
 
 from __future__ import annotations
@@ -82,15 +83,6 @@ def cmd_validate(args) -> int:
     return 0
 
 
-# (dataset, cfg, score_from_rank) while _evaluate_all runs; forked workers inherit it
-_evaluate_args = None
-
-
-def _evaluate_one(system_dir: Path) -> list[DimensionSummary]:
-    dataset, cfg, score_from_rank = _evaluate_args
-    return evaluate_system(dataset, ingest.load_system(system_dir, score_from_rank), cfg)[1]
-
-
 def _cpu_count() -> int:
     """CPUs this process may run on."""
     try:
@@ -99,61 +91,56 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _fork_each(system_dirs: list[Path], workers: int) -> list:
-    """The outcome of _evaluate_one for each system, its rows or the exception
-    it raised, each evaluated in a forked child, at most ``workers`` at once.
+def _fork_children(evaluate_each, count: int, workers: int) -> list:
+    """The outcome of evaluate_each for each of count systems, from ``workers``
+    forked children, or None where no child finished the system.
 
-    A child sends its pickled outcome through its own pipe, which this
-    process reads as data arrives, so that no outcome is too large for a pipe.
+    The children share one queue file of system indices and its offset, so
+    that each read takes the next system; each child appends its pickled
+    (index, outcome) pairs to its own file and never waits for this process.
     """
     # imported here: only this path uses them
+    import contextlib
     import pickle
-    import select
     import signal
-    outcomes: list = [None] * len(system_dirs)
-    running = {}  # read end of a child's pipe -> (system index, pid, chunks read)
-
-    def read_ready():
-        for read_end in select.select(list(running), [], [])[0]:
-            index, pid, chunks = running[read_end]
-            chunk = os.read(read_end, 1 << 16)
-            if chunk:
-                chunks.append(chunk)
-                continue
-            del running[read_end]
-            os.close(read_end)
-            outcomes[index] = (pickle.loads(b"".join(chunks)) if os.waitpid(pid, 0)[1] == 0
-                               else ChildProcessError("an evaluate worker process died"))
-
-    try:
-        for index, system_dir in enumerate(system_dirs):
-            while len(running) == workers:
-                read_ready()
-            read_end, write_end = os.pipe()
-            # this process runs no other thread when it forks
-            pid = os.fork()
-            # the child leaves through os._exit, so that it flushes none of this
-            # process's buffers and runs none of its clean-up
-            if pid == 0:
-                try:
+    import tempfile
+    outcomes: list = [None] * count
+    with contextlib.ExitStack() as files:
+        queue, *results = [files.enter_context(tempfile.TemporaryFile())
+                           for _ in range(workers + 1)]
+        queue.write(b"".join(index.to_bytes(4, "little") for index in range(count)))
+        queue.seek(0)  # which first writes the buffered indices to the file
+        pids = []  # the children not yet reaped
+        try:
+            for result in results:
+                # this process runs no other thread when it forks
+                pid = os.fork()
+                # the child leaves through os._exit, so that it flushes none of this
+                # process's buffers and runs none of its clean-up
+                if pid == 0:
                     try:
-                        outcome = _evaluate_one(system_dir)
-                    except Exception as exc:
-                        outcome = exc
-                    with open(write_end, "wb") as pipe:
-                        pickle.dump(outcome, pipe)
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            os.close(write_end)
-            running[read_end] = (index, pid, [])
-        while running:
-            read_ready()
-    finally:
-        for read_end, (_, pid, _) in running.items():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(read_end)
+                        taken = iter(lambda: os.read(queue.fileno(), 4), b"")
+                        for pair in evaluate_each(int.from_bytes(b, "little") for b in taken):
+                            pickle.dump(pair, result)
+                            result.flush()
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+                pids.append(pid)
+            while pids:
+                os.waitpid(pids.pop(), 0)
+        finally:
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for result in results:
+            result.seek(0)
+            try:
+                while True:
+                    index, outcome = pickle.load(result)
+                    outcomes[index] = outcome
+            except (EOFError, pickle.UnpicklingError):  # its end, or a pair its child cut short
+                pass
     return outcomes
 
 
@@ -161,20 +148,30 @@ def _evaluate_all(dataset: Dataset, system_dirs: list[Path], cfg: MetricConfig,
                   score_from_rank: bool) -> list[list[DimensionSummary]]:
     """The result rows of each system, in the order of system_dirs.
 
-    Raises what evaluating the first faulty system raises, and
-    ChildProcessError when a worker process dies.
+    Raises what evaluating the first faulty system raises, or
+    ChildProcessError when a forked child died on a system before that one.
     """
-    global _evaluate_args
-    _evaluate_args = (dataset, cfg, score_from_rank)
-    try:
-        workers = min(_cpu_count(), len(system_dirs))
-        if workers < 2 or not hasattr(os, "fork"):
-            return [_evaluate_one(d) for d in system_dirs]
-        # forked, so that each child inherits _evaluate_args instead of unpickling the dataset
-        outcomes = _fork_each(system_dirs, workers)
-    finally:
-        _evaluate_args = None
+    def evaluate_each(indices):
+        """(index, rows) per system index, until the first that raises: (index, exception)."""
+        for index in indices:
+            try:
+                rows = evaluate_system(
+                    dataset, ingest.load_system(system_dirs[index], score_from_rank), cfg)[1]
+            except Exception as exc:
+                yield index, exc
+                return
+            yield index, rows
+
+    workers = min(_cpu_count(), len(system_dirs))
+    # forked, so that each child sees the dataset instead of unpickling it
+    outcomes = ([outcome for _, outcome in evaluate_each(range(len(system_dirs)))]
+                if workers < 2 or not hasattr(os, "fork")
+                else _fork_children(evaluate_each, len(system_dirs), workers))
+    # systems are taken in sorted order, and a child stops taking them only at an
+    # exception or by dying: the first system without rows is faulty, or its child died
     for outcome in outcomes:
+        if outcome is None:
+            raise ChildProcessError("an evaluate worker process died")
         if isinstance(outcome, Exception):
             raise outcome
     return outcomes
@@ -280,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cores", type=int)
     p.add_argument("--conditions", type=int)
     p.add_argument("--noise-docs", type=int)
-    p.add_argument("--depth", type=int)
+    p.add_argument("--depth", type=int,
+                   help="most entries in a list, noise included (at least --conditions + 2)")
     p.add_argument("--behaviors", default="perfect,anti,random")
     p.set_defaults(func=cmd_synth, configure=_synth_spec)
 

@@ -41,8 +41,9 @@ class SynthSpec:
         if min(self.cores_per_dim, self.conditions_per_core,
                self.corpus_noise_docs, self.run_depth) < 1:
             raise ValueError("all counts must be >= 1")
-        if self.run_depth < self.conditions_per_core:
-            raise ValueError("run_depth must be >= conditions_per_core")
+        # a list holds every positive of its core, and at least one noise document
+        if self.run_depth < self.conditions_per_core + 2:
+            raise ValueError("run_depth must be >= conditions_per_core + 2")
         if not self.dims:
             raise ValueError("need at least one dimension")
         if len(set(self.dims)) < len(self.dims):

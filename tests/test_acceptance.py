@@ -67,9 +67,9 @@ def test_criterion_4_differential_oracle_1000():
         spec = SynthSpec(seed=rng.randrange(2**32),
                          dims=tuple(rng.sample(list(Dimension), rng.randint(1, 2))),
                          cores_per_dim=rng.randint(1, 3),
-                         conditions_per_core=rng.randint(1, 3),
+                         conditions_per_core=(conditions := rng.randint(1, 3)),
                          corpus_noise_docs=rng.randint(1, 4),
-                         run_depth=rng.randint(3, 10))
+                         run_depth=rng.randint(conditions + 2, 10))
         ds = gen_synthetic_dataset(spec)
         assert len(ds.instructed_queries) <= 50
         rs = gen_synthetic_runs(ds, spec, rng.choice(BEHAVIORS))

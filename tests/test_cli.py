@@ -352,7 +352,8 @@ SPACED = "{dataset}/documents.jsonl:1: malformed line: doc_id must be one token 
     (["evaluate", "{dataset}", "{runs}", "--k", "0"], None, 2, EVALUATE + "cutoffs must be >= 1"),
     (["evaluate", "{dataset}", "{runs}", "--wise-k", "0"], None, 2,
      EVALUATE + "cutoffs must be >= 1"),
-    (["synth", "--depth", "1"], None, 2, SYNTH + "run_depth must be >= conditions_per_core"),
+    (["synth", "--depth", "3"], None, 2,
+     SYNTH + "run_depth must be >= conditions_per_core + 2"),
     (["synth", "--dims", "Foo"], None, 2, SYNTH + "'Foo' is not a valid Dimension"),
     (["synth", "--behaviors", "perfect,foo"], None, 2, SYNTH + "unknown behavior 'foo'"),
     (["bm25-run", "{dataset}", "--k1", "-1"], None, 2,

@@ -1,7 +1,8 @@
-"""``evaluate`` in worker processes gives what the plain loop gives.
+"""``evaluate`` in forked children gives what the plain loop gives.
 
 The CPU count is forced by replacing ``os.sched_getaffinity``: one CPU takes
-the plain loop in this process, the reference; two take the forked workers.
+the plain loop in this process, the reference; two fork two children, each
+taking the next system in sorted order as soon as it has finished its last.
 The fixture has three systems, anti, perfect and random in sorted order, and
 each fault, or run-file shape, goes into perfect, the second.  No evaluate
 leaves a child process behind.
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from infosearch_eval import cli, ingest, synth
+from infosearch_eval.core import RankedList
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the worker path needs fork")
 
@@ -35,14 +37,14 @@ def _evaluate(fixture_dirs, out, cpus, monkeypatch, capsys, *options):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     capsys.readouterr()
     rc = cli.main(["evaluate", str(dataset_dir), str(runs_dir), "--out", str(out), *options])
-    with pytest.raises(ChildProcessError):  # every worker has been reaped
+    with pytest.raises(ChildProcessError):  # every child has been reaped
         os.waitpid(-1, os.WNOHANG)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
 
 
 def _record_pids(monkeypatch, log: Path):
-    """Log the pid of each process that loads a system; forked workers
+    """Log the pid of each process that loads a system; forked children
     inherit the patched ``ingest.load_system``."""
     load_system = ingest.load_system
 
@@ -51,6 +53,19 @@ def _record_pids(monkeypatch, log: Path):
             fh.write(f"{os.getpid()}\n")
         return load_system(*args)
     monkeypatch.setattr(ingest, "load_system", recording)
+
+
+def _record_forks(monkeypatch) -> list[int]:
+    """The pids of the children that os.fork starts from now on."""
+    forks, fork = [], os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", recording)
+    return forks
 
 
 def _pids(log: Path) -> set[int]:
@@ -73,8 +88,11 @@ def test_reports_identical_across_worker_counts(fmt, fixture_dirs, tmp_path, mon
     assert _pids(log) == {os.getpid()}
     one_tree = _tree(out)
     out.rename(tmp_path / "one")
+    forks = _record_forks(monkeypatch)
     two = _evaluate(fixture_dirs, out, 2, monkeypatch, capsys, "--format", fmt)
-    assert os.getpid() not in _pids(log)
+    # one child per CPU, not one per system; which child loads which system
+    # depends on how soon each starts
+    assert len(forks) == 2 and _pids(log) <= set(forks)
     assert one == two and one[0] == 0
     assert _tree(out) == one_tree and len(one_tree) == 4
 
@@ -140,6 +158,9 @@ SCORE_ORDER_AT_RANK_1 = (
      f"{PERFECT}instructed.run: duplicate doc 'audience-c000-d1' in list for 'audience-c000-q1'"),
     (_edit("instructed.run", _set_column(0, 3, "999")), 1,
      f"{PERFECT}instructed.run: rank gap in list for 'audience-c000-q1'"),
+    # a rank that no C long holds
+    (_edit("instructed.run", _set_column(0, 3, "9" * 23)), 1,
+     f"{PERFECT}instructed.run: rank gap in list for 'audience-c000-q1'"),
     (_edit("instructed.run", _swap_scores), 1,
      SCORE_ORDER_AT_RANK_1),
     (_edit("reversed.run", _drop_first_list), 1,
@@ -160,9 +181,9 @@ SCORE_ORDER_AT_RANK_1 = (
     (_edit("instructed.run", _set_column(0, 4, LONG_SCORE)), 1,
      f"{PERFECT}instructed.run:1: malformed line: could not convert string to float: "
      f"'{LONG_SCORE}'"),
-], ids=["malformed-line", "repeated-doc", "rank-gap", "score-order", "missing-list",
-        "missing-run-file", "byte-order-mark", "tab-separated", "crlf", "repeated-line",
-        "rank-0", "nan-score", "tie-in-descending-doc-id-order", "long-score"])
+], ids=["malformed-line", "repeated-doc", "rank-gap", "rank-beyond-c-long", "score-order",
+        "missing-list", "missing-run-file", "byte-order-mark", "tab-separated", "crlf",
+        "repeated-line", "rank-0", "nan-score", "tie-in-descending-doc-id-order", "long-score"])
 def test_fault_in_second_system(prepare, code, line, fixture_dirs, tmp_path, monkeypatch,
                                 capsys):
     """Each fault, or each shape a run file takes, in the second system.
@@ -249,6 +270,25 @@ def test_dead_worker_exits_2(fixture_dirs, tmp_path, monkeypatch, capsys):
 
 
 @needs_fork
+def test_death_after_a_faulty_system(fixture_dirs, tmp_path, monkeypatch, capsys):
+    """A child that dies on a system after a faulty one leaves the faulty
+    system's error line and exit code, as the plain loop gives them."""
+    runs_dir, load_system = fixture_dirs[1], ingest.load_system
+    _edit("instructed.run", _set_column(0, 3, "999"))(runs_dir)
+
+    def dying(system_dir, *rest):
+        if system_dir.name == "random":
+            os._exit(3)
+        return load_system(system_dir, *rest)
+    out = tmp_path / "out"
+    one = _evaluate(fixture_dirs, out, 1, monkeypatch, capsys)
+    monkeypatch.setattr(ingest, "load_system", dying)
+    assert _evaluate(fixture_dirs, out, 2, monkeypatch, capsys) == one == (
+        1, "", f"error: {runs_dir / 'perfect' / 'instructed.run'}: "
+        "rank gap in list for 'audience-c000-q1'\n")
+
+
+@needs_fork
 def test_other_systems_reports_do_not_depend_on_an_added_system(fixture_dirs, tmp_path,
                                                                 monkeypatch, capsys):
     """Adding a system directory leaves every other system's report, and its
@@ -256,12 +296,13 @@ def test_other_systems_reports_do_not_depend_on_an_added_system(fixture_dirs, tm
     dataset_dir, runs_dir = fixture_dirs
     reference = tmp_path / "reference"
     assert _evaluate(fixture_dirs, reference, 1, monkeypatch, capsys)[0] == 0
-    # sorted second and far deeper than the others, so that on two CPUs the
-    # systems after it finish first
+    # far deeper than the others, and sorted second: on two CPUs the other
+    # child takes perfect and random while it is evaluated, so they finish first
     dataset = ingest.load_dataset(dataset_dir)
     runs = synth.gen_synthetic_runs(dataset, synth.SynthSpec(seed=14), "random")
-    for ranked in runs.lists.values():
-        ranked.entries = ranked.entries + tuple((f"extra-d{n:05d}", 0.0) for n in range(2000))
+    extra = tuple((f"extra-d{n:05d}", 0.0) for n in range(2000))
+    for key, ranked in runs.lists.items():
+        runs.lists[key] = RankedList(ranked.query_key, ranked.mode, ranked.entries + extra)
     ingest.write_system(dataset, runs, runs_dir / "deep", tag="deep")
     for cpus in (1, 2):
         out = tmp_path / f"cpus-{cpus}"
@@ -274,9 +315,45 @@ def test_other_systems_reports_do_not_depend_on_an_added_system(fixture_dirs, tm
         assert reports.pop("deep.csv") and reports == reference_reports
 
 
+@needs_fork
+def test_each_system_taken_once_by_more_children_than_cpus(fixture_dirs, tmp_path, monkeypatch,
+                                                          capsys):
+    """Eight children share the queue of 24 systems, whatever the machine's
+    CPUs: each system is loaded once, and the reports are the plain loop's."""
+    dataset_dir, runs_dir = fixture_dirs
+    for system_dir in sorted(runs_dir.iterdir()):
+        for copy in range(8):
+            shutil.copytree(system_dir, runs_dir / f"{system_dir.name}-{copy}")
+        shutil.rmtree(system_dir)
+    assert _evaluate(fixture_dirs, tmp_path / "one", 1, monkeypatch, capsys)[0] == 0
+    log = tmp_path / "loads"
+    proc = _run_python(["-c", EVALUATE_ON_EIGHT_CPUS, str(log), "evaluate", str(dataset_dir),
+                        str(runs_dir), "--out", str(tmp_path / "eight")], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(log.read_text().split()) == sorted(p.name for p in runs_dir.iterdir())
+    assert _tree(tmp_path / "eight") == _tree(tmp_path / "one")
+
+
+EVALUATE_ON_EIGHT_CPUS = """
+import os, sys
+from infosearch_eval import cli, ingest
+
+os.sched_getaffinity = lambda pid: set(range(8))
+load_system = ingest.load_system
+
+def logged(system_dir, *rest):
+    with open(sys.argv[1], "a") as log:  # one write per line, appended
+        log.write(system_dir.name + "\\n")
+    return load_system(system_dir, *rest)
+
+ingest.load_system = logged
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
 def test_importing_the_cli_leaves_out_multiprocessing(fixture_dirs, tmp_path):
     """Only the commands that use bm25, oracle and synth import them, and
-    evaluate forks its workers without multiprocessing or concurrent.futures."""
+    evaluate forks its children without multiprocessing or concurrent.futures."""
     modules = ["multiprocessing", "concurrent.futures", "infosearch_eval.bm25",
                "infosearch_eval.oracle", "infosearch_eval.synth"]
     proc = _run_python(["-c", "import sys, infosearch_eval.cli; "

@@ -80,9 +80,9 @@ def test_differential_small_sweep():
         spec = SynthSpec(seed=rng.randrange(2**32),
                          dims=tuple(rng.sample(list(Dimension), rng.randint(1, 3))),
                          cores_per_dim=rng.randint(1, 3),
-                         conditions_per_core=rng.randint(1, 3),
+                         conditions_per_core=(conditions := rng.randint(1, 3)),
                          corpus_noise_docs=rng.randint(1, 5),
-                         run_depth=rng.randint(3, 12))
+                         run_depth=rng.randint(conditions + 2, 12))
         ds = gen_synthetic_dataset(spec)
         rs = gen_synthetic_runs(ds, spec, rng.choice(BEHAVIORS))
         assert diff_reports(harness_view(ds, rs), oracle_metrics(ds, rs)) == []
@@ -127,12 +127,12 @@ def _like_real_runs(dataset, runset, rng, min_depth=0):
 QUERY_COLUMNS = ("ndcg_ins", "ndcg_rev", "mrr1_ins", "mrr1_rev", "p_mrr", "wise_act",
                  "wise_ideal", "sicr")
 
-SPECS = st.builds(
+SPECS = st.integers(1, 3).flatmap(lambda conditions: st.builds(
     SynthSpec, seed=st.integers(0, 2**32 - 1),
     dims=st.lists(st.sampled_from(list(Dimension)), min_size=1, max_size=3,
                   unique=True).map(tuple),
-    cores_per_dim=st.integers(1, 3), conditions_per_core=st.integers(1, 3),
-    corpus_noise_docs=st.integers(1, 5), run_depth=st.integers(3, 12))
+    cores_per_dim=st.integers(1, 3), conditions_per_core=st.just(conditions),
+    corpus_noise_docs=st.integers(1, 5), run_depth=st.integers(conditions + 2, 12)))
 CONFIGS = st.builds(MetricConfig, k_ndcg=st.integers(1, 10), k_wise=st.integers(1, 20),
                     p_mrr_sign=st.sampled_from((PMRR_AS_PRINTED, PMRR_FLIPPED)))
 
