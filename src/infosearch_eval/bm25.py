@@ -50,7 +50,7 @@ _CJK_RANGES = (
 _CJK = "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _CJK_RANGES)
 # re's \w is str.isalnum() plus "_": one CJK char, or a run of alphanumerics
 # outside the CJK ranges.  re compiles it on first use and keeps it cached,
-# so importing this module (as every CLI command does) costs no compile.
+# so importing this module, as only `bm25-run` does, costs no compile.
 _TOKEN = f"[{_CJK}]|[^\\W_{_CJK}]+"
 
 
@@ -198,27 +198,24 @@ def search(index: InvertedIndex, params: Bm25Params, query_text: str, top_k: int
 def run_all_modes(dataset: Dataset, params: Bm25Params, top_k: int) -> RunSet:
     """Retrieve for every core/instructed/reversed query over the full corpus.
 
-    The index holds the tokens of these queries' texts only.  Queries are
-    searched core by core, so one core's ``base`` is alive at a time.
+    ``dataset`` is one that ``ingest.load_dataset`` returns: every instructed
+    query's core is among its core queries.  The index holds the tokens of
+    these queries' texts only.  Each core is searched and then its variants,
+    so one core's ``base`` is alive at a time.
     """
     texts = [cq.text for cq in dataset.core_queries.values()]
     for iq in dataset.instructed_queries.values():
         texts += iq.instructed_text, iq.reversed_text
     index = build_index(list(dataset.documents.values()), params,
                         {token for text in texts for token in tokenize(text)})
-    # a dataset that failed validation may name cores it does not hold
-    groups: dict[str, list[InstructedQuery]] = {core_id: [] for core_id in dataset.core_queries}
+    variants: dict[str, list[InstructedQuery]] = {core_id: [] for core_id in dataset.core_queries}
     for iq in dataset.instructed_queries.values():
-        groups.setdefault(iq.core_id, []).append(iq)
+        variants[iq.core_id].append(iq)
     runset = RunSet(system_id="bm25")
-    for core_id, iqs in groups.items():
-        base = None
-        cq = dataset.core_queries.get(core_id)
-        if cq is not None:
-            base = core_base(index, tokenize(cq.text), top_k)
-            runset.add(RankedList(core_id, Mode.ORIGINAL,
-                                  search(index, params, cq.text, top_k, base)))
-        for iq in iqs:
+    for core_id, cq in dataset.core_queries.items():
+        base = core_base(index, tokenize(cq.text), top_k)
+        runset.add(RankedList(core_id, Mode.ORIGINAL, search(index, params, cq.text, top_k, base)))
+        for iq in variants[core_id]:
             runset.add(RankedList(iq.query_id, Mode.INSTRUCTED,
                                   search(index, params, iq.instructed_text, top_k, base)))
             runset.add(RankedList(iq.query_id, Mode.REVERSED,

@@ -12,6 +12,7 @@ system's lists, and an array of scores.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
@@ -152,6 +153,9 @@ def validate_dataset(dataset: Dataset) -> list[str]:
         for doc_id, _ in cq.positives:
             if doc_id not in dataset.documents:
                 violations.append(f"core query {cq.core_id}: unknown positive doc {doc_id}")
+        for doc_id, count in Counter(cq.positive_ids()).items():
+            if count > 1:
+                violations.append(f"core query {cq.core_id}: positive {doc_id} listed twice")
 
     for iq in dataset.instructed_queries.values():
         parent = dataset.core_queries.get(iq.core_id)

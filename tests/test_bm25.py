@@ -290,7 +290,6 @@ def test_run_all_modes_equals_per_query_search_on_prefix_cases():
         ("plain", "foo bar foo", "foo bar bar bar"),     # repeats a core token
         ("empty", "foo x", "糖"),                        # empty core text
         ("plain", "bar foo", "x y"),                     # does not begin with the core
-        ("ghost", "foo bar", "x"),                       # core not in the dataset
         ("merge", "foo", "FOO, bar"),                    # equal to the core's tokens
     ])
     for top_k in (1, 3, 100):
@@ -369,7 +368,7 @@ texts = st.lists(st.tuples(st.sampled_from(WORDS), st.sampled_from(["", " ", ", 
 @st.composite
 def prefix_datasets(draw):
     """Instructed texts that extend their core's text, merge with its last
-    token, or start afresh; cores that are empty, end in CJK or are missing."""
+    token, or start afresh; cores that are empty or end in CJK."""
     cores = {f"c{i}": draw(texts) for i in range(draw(st.integers(1, 3)))}
 
     def query_text(core_text):
@@ -377,9 +376,8 @@ def prefix_datasets(draw):
 
     instructed = []
     for _ in range(draw(st.integers(0, 6))):
-        cid = draw(st.sampled_from([*cores, "ghost"]))
-        core_text = cores.get(cid, "")
-        instructed.append((cid, query_text(core_text), query_text(core_text)))
+        cid = draw(st.sampled_from([*cores]))
+        instructed.append((cid, query_text(cores[cid]), query_text(cores[cid])))
     docs = draw(st.lists(texts, min_size=1, max_size=8))
     return prefix_dataset(docs, cores, instructed), draw(st.integers(1, 10))
 

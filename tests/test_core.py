@@ -159,9 +159,16 @@ _REPEATED_CONDITION = (("d0", "Layman"), ("d1", "Expert"), ("d2", "Layman"))
     (_c0_positives(*_REPEATED_CONDITION, dimension=Dimension.KEYWORD), []),
     (_c0_positives(("d0", "Layman"), ("d1", "Expert"), ("d9", "Novice")),
      ["core query c0: unknown positive doc d9"]),
+    (_c0_positives(("d0", "Layman"), ("d0", "Layman"), ("d1", "Expert"),
+                   dimension=Dimension.KEYWORD),
+     ["core query c0: positive d0 listed twice"]),
+    (_c0_positives(("d0", "Layman"), ("d0", "Novice"), ("d1", "Expert")),
+     ["core query c0: positive d0 listed twice",
+      "instructed query c0-q0: condition Layman differs from gold d0's Novice"]),
     (_unknown_core, ["instructed query c0-q0: unknown core c9"]),
 ], ids=["no-positives", "duplicate-conditions", "keyword-duplicate-conditions",
-        "unknown-positive-doc", "unknown-core"])
+        "unknown-positive-doc", "repeated-positive", "repeated-positive-other-condition",
+        "unknown-core"])
 def test_validate_detects_faulty_core_queries_and_references(desk_dataset, edit, violations):
     edit(desk_dataset)
     assert validate_dataset(desk_dataset) == violations

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import shutil
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infosearch_eval import ingest
+from infosearch_eval.cli import main
 from infosearch_eval.core import (Dataset, Dimension, Mode, RankedList, RunSet,
                                   validate_dataset)
 from infosearch_eval.harness import evaluate_system, rows_from_records
@@ -325,6 +327,113 @@ def test_swapping_instructed_and_reversed_runs(tmp_path):
             seen["tied list"] += len(set(ins.scores)) < len(ins)
             seen["gold missing"] += g.r_ins > len(ins)
     assert all(seen[case] for case in ("complied", "tied list", "gold missing")), seen
+
+
+def _gold_rank(entries, gold):
+    """The gold's rank among (doc_id, score) entries in canonical order: depth+1 where absent."""
+    doc_ids = [d for d, _ in entries]
+    return doc_ids.index(gold) + 1 if gold in doc_ids else len(doc_ids) + 1
+
+
+def _lift_gold(entries, gold, rng):
+    """The entries, in canonical order, with the gold's score raised so that
+    it moves up at least one rank, and every other entry's score kept: to
+    the score of an entry above it, which may tie with it, or above the top.
+    None when no score lifts it, as when it is first already."""
+    others = [(d, s) for d, s in entries if d != gold]
+
+    def rank(score):
+        return 1 + sum((-s, d) < (-score, gold) for d, s in others)
+
+    old = rank(dict(entries).get(gold, -math.inf))
+    scores = {s for _, s in others} | {max(s for _, s in others) + 1.0} if others else set()
+    lifts = [score for score in sorted(scores) if rank(score) < old]
+    if not lifts:
+        return None
+    return sorted(others + [(gold, rng.choice(lifts))], key=lambda e: (-e[1], e[0]))
+
+
+def _wise_fall_region(r_ori, r_ins, r_rev, k):
+    """The region, of the two that README "Conventions" names, in which
+    lifting the gold from r_ins may lower WISE; None outside both."""
+    if r_ins <= r_ori < r_rev and k / 2 < r_ori <= k and r_ins > k - r_ori:
+        return "the reward falls toward K - r_ori"
+    if r_rev < r_ori == r_ins:
+        return "a gold left in place leaves case 3's 0"
+    return None
+
+
+def _reports(out):
+    """{system: {scope: report line less its system_id}} of evaluate's structured reports."""
+    reports = {}
+    for path in out.glob("*.jsonl"):
+        reports[path.stem] = rows = {}
+        for line in path.read_text().splitlines():
+            record = json.loads(line)
+            del record["system_id"]
+            rows[record.pop("scope")] = record
+    return reports
+
+
+def test_lifting_the_gold_in_an_instructed_run_file(tmp_path):
+    # one system per instructed query of a cut, tied synth system, with the
+    # gold moved up in that query's instructed list and every other entry and
+    # list kept: evaluate's rows never lose SICR, p-MRR moves down under
+    # as-printed and up under flipped, and WISE Act. falls only where
+    # _wise_fall_region names, and there some lifts lower it
+    rng, seen = random.Random(32), Counter()
+    for seed, behavior in enumerate(BEHAVIORS * 4):
+        spec = SynthSpec(seed=seed, corpus_noise_docs=12, run_depth=16)
+        ds = gen_synthetic_dataset(spec)
+        ds, runs, reference = _like_real_runs(ds, gen_synthetic_runs(ds, spec, behavior), rng,
+                                              min_depth=1)  # a run file holds no empty list
+        root = tmp_path / str(seed)
+        ingest.write_dataset(ds, root / "dataset")
+        ingest.write_system(ds, runs, root / "runs" / "base", tag=behavior)
+        lifted = {}  # system -> (query, the gold's ranks before the lift)
+        for iq in ds.instructed_queries.values():
+            ranks = [_gold_rank(reference.lists[key].entries, iq.gold_doc_id) for key in (
+                (iq.core_id, Mode.ORIGINAL), (iq.query_id, Mode.INSTRUCTED),
+                (iq.query_id, Mode.REVERSED))]
+            entries = _lift_gold(reference.lists[iq.query_id, Mode.INSTRUCTED].entries,
+                                 iq.gold_doc_id, rng)
+            if entries is None:
+                continue
+            system = RunSet(iq.query_id, dict(runs.lists))
+            system.add(RankedList(iq.query_id, Mode.INSTRUCTED, entries))
+            ingest.write_system(ds, system, root / "runs" / iq.query_id, tag=behavior)
+            for mode in (Mode.ORIGINAL, Mode.REVERSED):
+                name = ingest.MODE_FILES[mode]
+                assert ((root / "runs" / iq.query_id / name).read_bytes()
+                        == (root / "runs" / "base" / name).read_bytes())
+            lifted[iq.query_id] = iq, ranks
+            seen["gold absent before"] += ranks[1] > len(runs.lists[iq.query_id, Mode.INSTRUCTED])
+        k = rng.choice((6, 8, 10, 12))
+        for sign, way in ((PMRR_AS_PRINTED, -1), (PMRR_FLIPPED, 1)):
+            out = root / sign
+            assert main(["evaluate", str(root / "dataset"), str(root / "runs"),
+                         "--out", str(out), "--format", "structured",
+                         "--p-mrr-sign", sign, "--wise-k", str(k)]) == 0
+            reports = _reports(out)
+            base = reports["base"]
+            for system, (iq, (r_ori, r_ins, r_rev)) in lifted.items():
+                rows = reports[system]
+                scopes = (iq.dimension.value, "overall")
+                for scope in scopes:
+                    old, new = base[scope], rows[scope]
+                    assert new["sicr"] >= old["sicr"], (system, scope)
+                    assert way * (new["p_mrr"] - old["p_mrr"]) >= 0, (system, scope, sign)
+                    seen["SICR rises"] += new["sicr"] > old["sicr"]
+                    seen["p-MRR moves"] += new["p_mrr"] != old["p_mrr"]
+                    if new["wise_act"] < old["wise_act"]:
+                        region = _wise_fall_region(r_ori, r_ins, r_rev, k)
+                        assert region, (system, scope, r_ori, r_ins, r_rev, k)
+                        seen[region] += 1
+                # the rows of the other dimensions stay as they were
+                assert all(rows[scope] == base[scope] for scope in rows if scope not in scopes)
+    assert all(seen[case] for case in (
+        "gold absent before", "SICR rises", "p-MRR moves", "the reward falls toward K - r_ori",
+        "a gold left in place leaves case 3's 0")), seen
 
 
 def test_scale_invariance_of_all_metrics():
