@@ -38,25 +38,21 @@ def render(rows: list[tuple[str, DimensionSummary]], fmt: str = "markdown") -> b
     """The report of (system_id, row) pairs, one line per pair."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
-    header = ["system_id", "scope", *METRICS]
     records = [_record(system_id, row) for system_id, row in rows]
-
     if fmt == "structured":
+        return "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records).encode("utf-8")
+
+    table = [["system_id", "scope", *METRICS]]
+    table += ([r["system_id"], r["scope"], *(_fmt1(r[c]) for c in METRICS)] for r in records)
+    if fmt == "csv":
+        import csv  # here, not at the top: evaluate's forked children never render
+
         out = io.StringIO()
-        for record in records:
-            out.write(json.dumps(record, ensure_ascii=False) + "\n")
+        csv.writer(out, lineterminator="\n").writerows(table)
         return out.getvalue().encode("utf-8")
 
-    table = [[r["system_id"], r["scope"], *(_fmt1(r[c]) for c in METRICS)] for r in records]
-    if fmt == "csv":
-        lines = [",".join(header)] + [",".join(cells) for cells in table]
-        return ("\n".join(lines) + "\n").encode("utf-8")
-
-    widths = [max(len(header[i]), *(len(cells[i]) for cells in table))
-              for i in range(len(header))]
-    def md_row(cells):
-        return "| " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |"
-    lines = [md_row(header),
-             "|" + "|".join("-" * (w + 2) for w in widths) + "|"]
-    lines.extend(md_row(cells) for cells in table)
+    table = [[cell.replace("|", "\\|") for cell in cells] for cells in table]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    lines = ["| " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |" for cells in table]
+    lines.insert(1, "|" + "|".join("-" * (w + 2) for w in widths) + "|")
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import re
 import shlex
@@ -99,6 +100,31 @@ def test_evaluate_writes_reports(fixture_dirs, tmp_path):
     for line in perfect[1:]:
         cells = dict(zip(header, line.split(",")))
         assert cells["ndcg_ori"] == cells["robustness_ori"]
+
+
+def test_evaluate_reports_keep_each_system_name_in_one_cell(tmp_path):
+    assert main(["synth", "--out", str(tmp_path), "--seed", "3", "--dims", "Audience",
+                 "--cores", "2", "--conditions", "2", "--behaviors", "perfect"]) == 0
+    runs = tmp_path / "runs"
+    names = ["a|b", "bm25,top100", 'say "hi"']
+    for name in names:
+        shutil.copytree(runs / "perfect", runs / name)
+    shutil.rmtree(runs / "perfect")
+    for fmt in ("csv", "markdown"):
+        assert main(["evaluate", str(tmp_path / "dataset"), str(runs),
+                     "--out", str(tmp_path / fmt), "--format", fmt]) == 0
+    for name in names:
+        with open(tmp_path / "csv" / f"{name}.csv", newline="") as f:
+            table = list(csv.reader(f))
+        assert [len(cells) for cells in table] == [16] * 3  # header, Audience, overall
+        assert {cells[0] for cells in table[1:]} == {name}
+    with open(tmp_path / "csv" / "leaderboard.csv", newline="") as f:
+        board = list(csv.reader(f))
+    assert [len(cells) for cells in board] == [16] * 4
+    assert [cells[0] for cells in board[1:]] == names
+    for report in (tmp_path / "markdown").iterdir():
+        for line in report.read_text().splitlines():
+            assert len(re.findall(r"(?<!\\)\|", line)) == 17
 
 
 def test_evaluate_idempotent(fixture_dirs, tmp_path):

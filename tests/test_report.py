@@ -54,6 +54,45 @@ def test_display_rounds_half_away_from_zero():
     assert b",-0.3," in render(mk(-0.0025), "csv")
 
 
+def test_csv_and_markdown_bytes():
+    def mk(system_id, scope, v, **cells):
+        row = DimensionSummary(scope, **{**dict.fromkeys(METRICS, v), **cells}, query_count=1)
+        return (system_id, row)
+    rows = [mk("bm25", "overall", 0.0025, ndcg_rev=None, p_mrr=-0.0412),
+            mk("e5-mistral-7b", "Audience", 0.123, wise_act=-0.03, wise_ideal=0.659)]
+    assert render(rows, "csv").decode() == (
+        "system_id,scope,ndcg_ori,ndcg_ins,ndcg_rev,mrr1_ori,mrr1_ins,mrr1_rev,"
+        "robustness_ori,robustness_ins,robustness_rev,p_mrr,wise_act,wise_ideal,per,sicr\n"
+        "bm25,overall,0.3,0.3,,0.3,0.3,0.3,0.3,0.3,0.3,-4.1,0.3,0.3,0.0,0.3\n"
+        "e5-mistral-7b,Audience,12.3,12.3,12.3,12.3,12.3,12.3,12.3,12.3,12.3,12.3,"
+        "-3.0,65.9,104.6,12.3\n")
+    assert render(rows, "markdown").decode() == (
+        "| system_id     | scope    | ndcg_ori | ndcg_ins | ndcg_rev | mrr1_ori | mrr1_ins "
+        "| mrr1_rev | robustness_ori | robustness_ins | robustness_rev | p_mrr | wise_act "
+        "| wise_ideal | per   | sicr |\n"
+        "|---------------|----------|----------|----------|----------|----------|----------"
+        "|----------|----------------|----------------|----------------|-------|----------"
+        "|------------|-------|------|\n"
+        "| bm25          | overall  | 0.3      | 0.3      |          | 0.3      | 0.3      "
+        "| 0.3      | 0.3            | 0.3            | 0.3            | -4.1  | 0.3      "
+        "| 0.3        | 0.0   | 0.3  |\n"
+        "| e5-mistral-7b | Audience | 12.3     | 12.3     | 12.3     | 12.3     | 12.3     "
+        "| 12.3     | 12.3           | 12.3           | 12.3           | 12.3  | -3.0     "
+        "| 65.9       | 104.6 | 12.3 |\n")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_no_rows_render_the_header_alone(fmt):
+    header = ["system_id", "scope", *METRICS]
+    expected = {
+        "csv": ",".join(header) + "\n",
+        "markdown": "| " + " | ".join(header) + " |\n"
+                    + "|" + "|".join("-" * (len(h) + 2) for h in header) + "|\n",
+        "structured": "",
+    }
+    assert render([], fmt).decode() == expected[fmt]
+
+
 def test_structured_keeps_full_precision():
     rows = sample_rows()
     lines = render(rows, "structured").decode().splitlines()
